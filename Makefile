@@ -13,7 +13,7 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific analyzers (internal/analysis via cmd/ampvet):
-# determinism, hotpathalloc, deprecatedapi, obserrcheck, plus the
+# determinism, hotpathalloc, obserrcheck, plus the
 # dataflow-aware lockcheck, unitcheck and ctxcheck. Findings are cached
 # per package content hash; use -nocache to force a full re-analysis.
 ampvet:

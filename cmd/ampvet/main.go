@@ -1,6 +1,6 @@
 // Command ampvet runs ampsched's custom static-analysis suite (see
 // internal/analysis) over the repository: determinism, hotpathalloc,
-// deprecatedapi, obserrcheck, lockcheck, unitcheck and ctxcheck.
+// obserrcheck, lockcheck, unitcheck and ctxcheck.
 //
 // Usage:
 //

@@ -23,7 +23,7 @@ func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			snap.GOARCH = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			snap.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			snap.Package = addPackage(snap.Package, strings.TrimSpace(strings.TrimPrefix(line, "pkg:")))
 		case strings.HasPrefix(line, "cpu:"):
 			snap.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
@@ -39,6 +39,20 @@ func parseSnapshot(r io.Reader, passthrough io.Writer) (Snapshot, error) {
 		}
 	}
 	return snap, sc.Err()
+}
+
+// addPackage appends pkg to the space-separated package list unless a
+// multi-package run's output has already named it.
+func addPackage(list, pkg string) string {
+	if list == "" {
+		return pkg
+	}
+	for _, p := range strings.Fields(list) {
+		if p == pkg {
+			return list
+		}
+	}
+	return list + " " + pkg
 }
 
 // compareResult is the outcome of one baseline comparison: the

@@ -144,3 +144,34 @@ ok  	ampsched	1.234s
 		t.Fatalf("extra metric mis-parsed: %+v", snap.Benchmarks[1])
 	}
 }
+
+// TestParseSnapshotRecordsEveryPackage covers a multi-package run:
+// go test prints one header block per package, and the snapshot must
+// name all of them, not just the last.
+func TestParseSnapshotRecordsEveryPackage(t *testing.T) {
+	in := `goos: linux
+goarch: amd64
+pkg: ampsched/internal/server
+cpu: Test CPU
+BenchmarkServerCacheKey-2   	    1000	  1200.0 ns/op	     512 B/op	       5 allocs/op
+PASS
+ok  	ampsched/internal/server	1.0s
+goos: linux
+goarch: amd64
+pkg: ampsched/internal/jobqueue
+cpu: Test CPU
+BenchmarkQueueSubmitComplete-2   	    1000	  900.0 ns/op	     256 B/op	       3 allocs/op
+PASS
+ok  	ampsched/internal/jobqueue	1.0s
+`
+	snap, err := parseSnapshot(strings.NewReader(in), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "ampsched/internal/server ampsched/internal/jobqueue"; snap.Package != want {
+		t.Fatalf("pkg = %q, want %q", snap.Package, want)
+	}
+	if len(snap.Benchmarks) != 2 {
+		t.Fatalf("want 2 benchmarks, got %+v", snap.Benchmarks)
+	}
+}

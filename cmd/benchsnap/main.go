@@ -35,8 +35,10 @@ type Benchmark struct {
 
 // Snapshot is the file's top-level shape.
 type Snapshot struct {
-	GOOS       string      `json:"goos,omitempty"`
-	GOARCH     string      `json:"goarch,omitempty"`
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	// Package lists every package the run benchmarked, in run order,
+	// space-separated (one entry for a single-package run).
 	Package    string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`

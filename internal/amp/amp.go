@@ -107,7 +107,7 @@ func (t *Thread) Reset(id int, bench *workload.Benchmark, seed, addrBase uint64)
 	t.EnergyNJ = 0
 }
 
-// View is the read-only interface a Scheduler uses to observe the
+// View is the read-only interface a MoveScheduler uses to observe the
 // system. It is implemented by *System.
 type View interface {
 	// Cycle returns the current global cycle.
@@ -154,20 +154,6 @@ type View interface {
 	// CorePool returns the pool index a core belongs to. Pools group
 	// cores of one flavor (e.g. INT vs FP, or big vs small).
 	CorePool(core int) int
-}
-
-// Scheduler is the original dual-core scheduling interface: Tick
-// returns true to request an immediate swap of the two threads.
-//
-// Deprecated: implement MoveScheduler (Tick returning []Move) instead;
-// wrap existing implementations with Legacy. The interface remains
-// accepted for one release via the Legacy adapter.
-type Scheduler interface {
-	Name() string
-	// Reset prepares the scheduler for a new run over v.
-	Reset(v View)
-	// Tick observes the system and returns true to swap now.
-	Tick(v View) bool
 }
 
 // SchedulerStats are optional bookkeeping counters a scheduler can
@@ -226,13 +212,6 @@ type Config struct {
 	// Result, so batch layers can report the pair as degraded instead
 	// of spinning forever.
 	CycleBudget uint64
-	// SwapInjector, when non-nil, is consulted on every swap request
-	// (fault injection: failed or delayed reconfigurations).
-	//
-	// Deprecated: pass WithFaultPlan to NewSystem instead. The field
-	// remains functional for one release; a WithFaultPlan option takes
-	// precedence when both are set.
-	SwapInjector SwapInjector
 }
 
 // withDefaults resolves the zero-value knobs.
@@ -299,6 +278,10 @@ type System struct {
 
 	lastAct   [2]cpu.Activity
 	lastCache [2]power.CacheStats
+
+	// injector is consulted on every swap request (WithFaultPlan; nil =
+	// every swap succeeds). It is per-run state: Reset clears it.
+	injector SwapInjector
 
 	obs Observer       // unified event observer (nil = disabled)
 	tel *telemetryHook // set by WithTelemetry, for direct metric access
@@ -374,8 +357,8 @@ func NewSystem(coreCfgs [2]*cpu.Config, threads [2]*Thread, sched MoveScheduler,
 //
 // A reset system is bit-identical to a freshly constructed one with
 // the same construction-time options: observers, telemetry and the
-// engine factory persist. The whole Config is replaced — including any
-// SwapInjector a WithFaultPlan option installed — and a timeline is
+// engine factory persist. The whole Config is replaced, the fault plan
+// a WithFaultPlan option installed is cleared, and a timeline is
 // discarded (re-enable per run).
 func (s *System) Reset(threads [2]*Thread, sched MoveScheduler, cfg Config) error {
 	if threads[0] == nil || threads[1] == nil {
@@ -418,6 +401,7 @@ func (s *System) Reset(threads [2]*Thread, sched MoveScheduler, cfg Config) erro
 	s.lastSwapCycle, s.stallUntil = 0, 0
 	s.lastAct = [2]cpu.Activity{}
 	s.lastCache = [2]power.CacheStats{}
+	s.injector = nil
 	s.timeline = nil
 	s.engines[0].Bind(threads[0].Gen, &threads[0].Arch)
 	s.engines[1].Bind(threads[1].Gen, &threads[1].Arch)
@@ -564,8 +548,8 @@ func (s *System) flushEnergy() {
 // advances, nothing else happens) or delayed (overhead multiplied).
 func (s *System) requestSwap() {
 	factor := 1.0
-	if s.cfg.SwapInjector != nil {
-		out := s.cfg.SwapInjector.SwapOutcome(s.cycle)
+	if s.injector != nil {
+		out := s.injector.SwapOutcome(s.cycle)
 		if out.Fail {
 			s.swapFailures++
 			s.emit(Event{Kind: EventSwapFailed, Cycle: s.cycle})

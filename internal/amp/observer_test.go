@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ampsched/internal/interval"
 	"ampsched/internal/telemetry"
 )
 
@@ -84,28 +85,28 @@ func TestWithFaultPlanOption(t *testing.T) {
 	}
 }
 
-// passInjector lets every swap through (marker for precedence test).
-type passInjector struct{ calls int }
-
-func (p *passInjector) SwapOutcome(uint64) SwapOutcome { p.calls++; return SwapOutcome{} }
-
-// TestWithFaultPlanPrecedenceOverConfigField is the designated shim
-// regression test: the one audited in-repo use of the deprecated
-// Config.SwapInjector field, kept so the precedence contract holds
-// until the shim is deleted.
-func TestWithFaultPlanPrecedenceOverConfigField(t *testing.T) {
-	deprecated := &passInjector{}
-	preferred := &passInjector{}
+// TestResetClearsFaultPlan pins the fault plan as per-run state: a
+// pooled system reset for its next run drops the plan WithFaultPlan
+// installed, and the reset run equals a fresh plan-free run.
+func TestResetClearsFaultPlan(t *testing.T) {
 	sys := MustSystem(coreCfgs(), newPair(t, "gcc", "equake", 23),
-		&swapEvery{period: 5000},
-		Config{SwapInjector: deprecated}, //ampvet:allow deprecatedapi designated shim regression test
-		WithFaultPlan(preferred))
-	sys.MustRun(40_000)
-	if preferred.calls == 0 {
-		t.Error("WithFaultPlan injector never consulted")
+		&swapEvery{period: 5000}, Config{},
+		WithEngine(interval.Factory()), WithFaultPlan(failInjector{}))
+	if res := sys.MustRun(60_000); res.FailedSwaps == 0 {
+		t.Fatal("fault plan dropped no swaps before the reset")
 	}
-	if deprecated.calls != 0 {
-		t.Error("deprecated Config.SwapInjector consulted despite WithFaultPlan")
+	sys.Detach()
+	if err := sys.Reset(newPair(t, "gcc", "equake", 24), &swapEvery{period: 5000}, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	got := sys.MustRun(60_000)
+	want := MustSystem(coreCfgs(), newPair(t, "gcc", "equake", 24),
+		&swapEvery{period: 5000}, Config{}, WithEngine(interval.Factory())).MustRun(60_000)
+	if got.FailedSwaps != 0 || got.Swaps == 0 {
+		t.Fatalf("reset run swaps/failed = %d/%d: fault plan survived Reset", got.Swaps, got.FailedSwaps)
+	}
+	if got != want {
+		t.Fatalf("reset run diverges from a fresh plan-free run\n got %+v\nwant %+v", got, want)
 	}
 }
 

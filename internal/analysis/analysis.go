@@ -1,9 +1,9 @@
 // Package analysis is ampsched's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools
-// go/analysis model (Analyzer, Pass, Diagnostic) plus the seven
+// go/analysis model (Analyzer, Pass, Diagnostic) plus the six
 // project-specific analyzers run by `make lint` via cmd/ampvet.
 //
-// The syntactic four turn the simulator's load-bearing invariants —
+// The syntactic three turn the simulator's load-bearing invariants —
 // bit-reproducible runs under a seed, and an allocation-free per-cycle
 // hot path — from comments and one benchmark into compile-time checks:
 //
@@ -13,9 +13,6 @@
 //   - hotpathalloc: functions annotated //ampvet:hotpath must avoid
 //     allocation-forcing constructs (fmt calls, interface boxing,
 //     capturing closures, append in loops, defer in loops).
-//   - deprecatedapi: the pre-options instrumentation surface
-//     (amp.Config.SwapInjector, sched ObserverInjectable.SetObserver)
-//     must not gain new callers during its deprecation window.
 //   - obserrcheck:  errors from amp.NewSystem / Run / RunContext, the
 //     experiments runner entry points and telemetry/trace sink
 //     Close/Flush must not be silently discarded.
@@ -117,7 +114,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		HotPathAllocAnalyzer,
-		DeprecatedAPIAnalyzer,
 		ObsErrCheckAnalyzer,
 		LockCheckAnalyzer,
 		UnitCheckAnalyzer,

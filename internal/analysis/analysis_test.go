@@ -8,7 +8,7 @@ import (
 	"ampsched/internal/analysis/analysistest"
 )
 
-// The four analyzers against their testdata fixtures: each must catch
+// The analyzers against their testdata fixtures: each must catch
 // every planted violation, honor //ampvet:allow, and stay quiet on the
 // clean/out-of-scope packages.
 
@@ -34,16 +34,6 @@ func TestDeterminismOutOfScope(t *testing.T) {
 
 func TestHotPathAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.HotPathAllocAnalyzer, "hotpathalloc")
-}
-
-func TestDeprecatedAPI(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/app")
-}
-
-func TestDeprecatedAPIDefiningPackagesExempt(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/internal/amp")
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/internal/sched")
-	analysistest.Run(t, "testdata", analysis.DeprecatedAPIAnalyzer, "deprecatedapi/internal/manycore")
 }
 
 func TestObsErrCheck(t *testing.T) {

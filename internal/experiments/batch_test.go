@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ampsched/internal/amp"
 	"ampsched/internal/cpu"
 	"ampsched/internal/interval"
+	"ampsched/internal/sched"
+	"ampsched/internal/telemetry"
 )
 
 // batchFidelities are the engine fidelities the cross-path identity
@@ -19,7 +22,8 @@ var batchFidelities = []string{cpu.FidelityDetailed, interval.FidelityInterval, 
 // TestRunPairsBatchMatchesPairAtATime is the cross-path identity
 // contract: every run of a batch — interleaved in small round-robin
 // chunks, with pooled systems reused across runs — is bit-identical
-// to the same run driven alone through RunPairContext.
+// to the same run driven alone through RunPairContext (a batch of
+// one).
 func TestRunPairsBatchMatchesPairAtATime(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
@@ -142,8 +146,8 @@ func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 }
 
 // TestBatchedSweepMatchesPairAtATime pins the sweep-level contract:
-// the chunk-claiming batched sweep produces byte-identical outcomes to
-// the pair-at-a-time sweep.
+// the interval sweep's 8-pair claims produce byte-identical outcomes
+// to a sweep whose workers claim one pair at a time.
 func TestBatchedSweepMatchesPairAtATime(t *testing.T) {
 	opt := tinyOptions()
 	opt.Fidelity = interval.FidelityInterval
@@ -154,13 +158,13 @@ func TestBatchedSweepMatchesPairAtATime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.disableBatch = true
+	ref.claimPairs = 1
 	got, err := NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Batchable() {
-		t.Fatal("sweep should take the batched path at interval fidelity")
+	if BatchPairs(opt.Fidelity) <= 1 {
+		t.Fatal("interval sweeps should claim several pairs per batch")
 	}
 	// Share the profiling artifacts so the comparison only exercises
 	// the sweep paths.
@@ -179,37 +183,153 @@ func TestBatchedSweepMatchesPairAtATime(t *testing.T) {
 	}
 }
 
-// TestRunPairsBatchFaultFallback checks that fault-injected batches
-// fall back to the recoverable pair-at-a-time path and still line up
-// with direct runs.
-func TestRunPairsBatchFaultFallback(t *testing.T) {
-	opt := tinyOptions()
-	opt.Fidelity = interval.FidelityInterval
-	opt.FaultRate = 0.2
-	opt.FaultSeed = 9
-	ref, err := NewRunner(opt)
-	if err != nil {
-		t.Fatal(err)
+// faultCounters are the fault layer's injection totals.
+var faultCounters = []string{
+	"fault.samples_dropped", "fault.samples_stale", "fault.samples_noised",
+	"fault.swaps_failed", "fault.swaps_delayed",
+}
+
+// TestRunPairsBatchFaultIdentity extends the identity contract to
+// fault injection: each run of an interleaved batch carries its own
+// per-index fault plan, so a batch of N fault-injected runs equals N
+// batches of one — in results and in the fault.* counter totals.
+func TestRunPairsBatchFaultIdentity(t *testing.T) {
+	for _, fid := range batchFidelities {
+		fid := fid
+		t.Run(fid, func(t *testing.T) {
+			opt := tinyOptions()
+			opt.Fidelity = fid
+			opt.FaultRate = 0.2
+			opt.FaultSeed = 9
+			runner := func() (*Runner, *telemetry.Telemetry) {
+				r, err := NewRunner(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.Telemetry = telemetry.New()
+				r.batchWindows = 7
+				return r, r.Telemetry
+			}
+			got, gotTel := runner()
+			ref, refTel := runner()
+
+			pairs := RandomPairs(2, opt.Seed)
+			var runs []PairRun
+			for i, p := range pairs {
+				runs = append(runs,
+					PairRun{Index: i, Pair: p, Factory: got.ProposedFactory()},
+					PairRun{Index: i, Pair: p, Factory: got.RRFactory(1)})
+			}
+			results, errs := got.RunPairsBatch(context.Background(), runs)
+			for k, pr := range runs {
+				if errs[k] != nil {
+					t.Fatalf("run %d: %v", k, errs[k])
+				}
+				want, wantErrs := ref.RunPairsBatch(context.Background(), runs[k:k+1])
+				if wantErrs[0] != nil {
+					t.Fatal(wantErrs[0])
+				}
+				if results[k] != want[0] {
+					t.Fatalf("run %d (%s): batched fault run diverges\n got %+v\nwant %+v",
+						k, pr.Pair.Label(), results[k], want[0])
+				}
+			}
+			var injected uint64
+			for _, name := range faultCounters {
+				g, w := gotTel.Registry().Counter(name).Value(), refTel.Registry().Counter(name).Value()
+				if g != w {
+					t.Errorf("%s: batch %d, solo %d", name, g, w)
+				}
+				injected += g
+			}
+			if injected == 0 {
+				t.Fatal("no faults injected; identity check is vacuous")
+			}
+		})
 	}
-	got, err := NewRunner(opt)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRunPairsBatchIsolatesPanic checks that a panicking scheduler in
+// a multi-run batch costs only its own run: the panic surfaces as that
+// run's error, and its batchmates still equal their solo runs.
+func TestRunPairsBatchIsolatesPanic(t *testing.T) {
+	for _, fid := range batchFidelities {
+		fid := fid
+		t.Run(fid, func(t *testing.T) {
+			opt := tinyOptions()
+			opt.Fidelity = fid
+			got, err := NewRunner(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewRunner(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := RandomPairs(1, opt.Seed)[0]
+			runs := []PairRun{
+				{Index: 0, Pair: p, Factory: got.ProposedFactory()},
+				{Index: 0, Pair: p, Factory: func(...sched.Option) amp.MoveScheduler { return panicSched{} }},
+				{Index: 0, Pair: p, Factory: got.RRFactory(1)},
+			}
+			results, errs := got.RunPairsBatch(context.Background(), runs)
+			if errs[1] == nil || !strings.Contains(errs[1].Error(), "panicked") {
+				t.Fatalf("panicking run error = %v, want a panic report", errs[1])
+			}
+			for _, k := range []int{0, 2} {
+				if errs[k] != nil {
+					t.Fatalf("run %d: %v", k, errs[k])
+				}
+				want, err := ref.RunPairContext(context.Background(), 0, p, runs[k].Factory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if results[k] != want {
+					t.Fatalf("run %d: result diverges from its solo run\n got %+v\nwant %+v", k, results[k], want)
+				}
+			}
+		})
 	}
-	if got.Batchable() {
-		t.Fatal("fault-injected sweeps must not batch")
-	}
-	p := RandomPairs(1, opt.Seed)[0]
-	runs := []PairRun{{Index: 0, Pair: p, Factory: got.RRFactory(1)}}
-	results, errs := got.RunPairsBatch(context.Background(), runs)
-	if errs[0] != nil {
-		t.Fatal(errs[0])
-	}
-	want, err := ref.RunPairContext(context.Background(), 0, p, ref.RRFactory(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0] != want {
-		t.Fatalf("fault fallback diverges:\n got %+v\nwant %+v", results[0], want)
+}
+
+// TestBatchScratchKeepsOnlyPoolableSystems checks what a batch leaves
+// in the scratch it returns to the pool: sampled engines cannot be
+// reset in place, so their systems are dropped, while interval
+// systems stay for the next batch to reuse.
+func TestBatchScratchKeepsOnlyPoolableSystems(t *testing.T) {
+	for _, fid := range []string{interval.FidelitySampled, interval.FidelityInterval} {
+		opt := tinyOptions()
+		opt.Fidelity = fid
+		r, err := NewRunner(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs := RandomPairs(2, opt.Seed)
+		runs := []PairRun{
+			{Index: 0, Pair: pairs[0], Factory: r.ProposedFactory()},
+			{Index: 1, Pair: pairs[1], Factory: r.RRFactory(1)},
+		}
+		sc := &runScratch{}
+		results, errs := make([]amp.Result, len(runs)), make([]error, len(runs))
+		r.run(context.Background(), sc, runs, results, errs)
+		for k, err := range errs {
+			if err != nil {
+				t.Fatalf("%s run %d: %v", fid, k, err)
+			}
+		}
+		held := 0
+		for _, b := range sc.slots {
+			if b.sys != nil {
+				held++
+			}
+		}
+		want := 0
+		if fid == interval.FidelityInterval {
+			want = len(runs)
+		}
+		if held != want {
+			t.Errorf("%s: scratch holds %d systems after the batch, want %d", fid, held, want)
+		}
 	}
 }
 

@@ -18,14 +18,11 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ampsched/internal/amp"
 	"ampsched/internal/cpu"
-	"ampsched/internal/fault"
 	"ampsched/internal/interval"
 	"ampsched/internal/metrics"
-	"ampsched/internal/monitor"
 	"ampsched/internal/profilegen"
 	"ampsched/internal/rng"
 	"ampsched/internal/sched"
@@ -225,39 +222,35 @@ type Runner struct {
 	sweepMu     sync.Mutex
 	sweep       *SweepResult
 
-	// optsOnce caches the per-run option slices and the resolved engine
-	// factory: they depend only on Opt and Telemetry, so building them
-	// per run would put slice and closure allocations on the sweep's
-	// hot path.
-	optsOnce      sync.Once
-	engineFactory cpu.EngineFactory
-	optsErr       error
-	schedOpts     []sched.Option
-	ampOpts       []amp.Option
+	// optsOnce caches the per-run option slices: they depend only on
+	// Opt and Telemetry, so building them per run would put slice and
+	// closure allocations on the sweep's hot path.
+	optsOnce  sync.Once
+	optsErr   error
+	schedOpts []sched.Option
+	ampOpts   []amp.Option
 
-	// scratch pools per-worker run state (threads and, at poolable
-	// fidelities, whole systems) across pairs; see pairScratch.
-	scratch sync.Pool
-	// batchPool pools per-worker batched-run state; see batchScratch.
-	batchPool sync.Pool
+	// pool holds per-worker run state (threads, steppers and, at
+	// poolable fidelities, whole systems); see runScratch.
+	pool sync.Pool
 	// batchWindows overrides the interleaved pass's per-run chunk
 	// (0 = interval.DefaultBatchWindows); tests shrink it to force many
 	// round-robin turns.
 	batchWindows int
-	// disableBatch forces the sweep onto the pair-at-a-time path; the
-	// cross-path identity tests use it as the reference side.
-	disableBatch bool
+	// claimPairs overrides the sweep's per-worker claim in pairs
+	// (0 = BatchPairs(Opt.Fidelity)); identity tests set 1 for their
+	// reference side.
+	claimPairs int
 
 	// Progress, if non-nil, receives one-line status updates.
 	Progress func(string)
 
 	// RunObserver, if non-nil, supplies one amp event observer per
-	// pair run (nil return = that run unobserved). Both the
-	// pair-at-a-time and batched paths install it, called once per run
-	// in submission order, so the cross-path identity suite can compare
-	// event streams. Observed runs never reuse pooled systems — the
-	// observer is per-run construction state — making this a
-	// test/diagnostics seam, not a hot path.
+	// pair run (nil return = that run unobserved), called once per run
+	// in submission order, so the identity suite can compare the event
+	// streams of batched and solo runs. Observed runs never reuse
+	// pooled systems — the observer is per-run construction state —
+	// making this a test/diagnostics seam, not a hot path.
 	RunObserver func(index int, p Pair) amp.Observer
 
 	// Telemetry, if non-nil, receives counters and events from every
@@ -402,169 +395,6 @@ func (r *Runner) faultSeed(i int) uint64 {
 	return r.Opt.FaultSeed ^ (uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
 }
 
-// runOpts resolves the cached engine factory and option slices shared
-// by every run. The slices never carry per-run state (fault plans are
-// appended onto copies by the fault path).
-func (r *Runner) runOpts() (cpu.EngineFactory, []sched.Option, []amp.Option, error) {
-	r.optsOnce.Do(func() {
-		r.engineFactory, r.optsErr = interval.FactoryFor(r.Opt.Fidelity)
-		if r.optsErr != nil {
-			return
-		}
-		r.ampOpts = []amp.Option{amp.WithEngine(r.engineFactory)}
-		if r.Telemetry != nil {
-			r.schedOpts = []sched.Option{sched.WithTelemetry(r.Telemetry)}
-			r.ampOpts = append(r.ampOpts, amp.WithTelemetry(r.Telemetry))
-		}
-	})
-	return r.engineFactory, r.schedOpts, r.ampOpts, r.optsErr
-}
-
-// pairScratch is one worker's reusable run state: two threads (their
-// generators re-seeded in place per run) and, once constructed, a
-// whole system whose engines are pooled via amp.System.Reset. sys
-// stays nil at fidelities whose engines keep persistent state (the
-// detailed core); those runs rebuild the system but still reuse the
-// threads.
-type pairScratch struct {
-	threads [2]amp.Thread
-	sys     *amp.System
-}
-
-// RunPair executes one pair under the scheduler made by factory. A
-// wedged run (watchdog or cycle budget) or a panicking scheduler comes
-// back as an error, never as a crash.
-func (r *Runner) RunPair(i int, p Pair, factory SchedFactory) (amp.Result, error) {
-	return r.runPair(r.baseCtx(), i, p, factory, r.Opt.SwapOverhead)
-}
-
-// RunPairContext is RunPair bounded by ctx: a canceled context stops
-// the simulation at the next check point and surfaces ctx's error
-// (wrapped; errors.Is-matchable) with the partial result.
-func (r *Runner) RunPairContext(ctx context.Context, i int, p Pair, factory SchedFactory) (amp.Result, error) {
-	return r.runPair(ctx, i, p, factory, r.Opt.SwapOverhead)
-}
-
-// RunPairOverhead is RunPair with an explicit swap overhead (§VI-C).
-func (r *Runner) RunPairOverhead(i int, p Pair, factory SchedFactory, overhead uint64) (amp.Result, error) {
-	return r.runPair(r.baseCtx(), i, p, factory, overhead)
-}
-
-// runPair is the single execution path behind every RunPair variant.
-// The run is wired to the runner's telemetry and — when fault
-// injection is on — given a per-index deterministic fault plan via the
-// option API.
-//
-// Run state is pooled: the two threads are always reused (generators
-// re-seeded in place), and at fidelities whose engines implement
-// cpu.StateResetter the whole system is too (amp.System.Reset). Both
-// resets are bit-identical to fresh construction, so pooling is
-// invisible to results — including under the parallel sweep, where
-// pool reuse order is scheduling-dependent.
-func (r *Runner) runPair(ctx context.Context, i int, p Pair, factory SchedFactory, overhead uint64) (res amp.Result, err error) {
-	start := time.Now() //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("experiments: pair %s panicked: %v", p.Label(), rec)
-		}
-		r.observeRun(p, time.Since(start), err) //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
-	}()
-	_, schedOpts, ampOpts, oerr := r.runOpts()
-	if oerr != nil {
-		return amp.Result{}, fmt.Errorf("experiments: pair %s: %w", p.Label(), oerr)
-	}
-	if r.Opt.FaultRate > 0 {
-		// Fault plans are per-run state: append them onto copies of the
-		// cached option slices. This path allocates freely — fault
-		// sweeps are not the hot benchmark.
-		plan := fault.MustNew(fault.Uniform(r.Opt.FaultRate, r.faultSeed(i)))
-		plan.SetTelemetry(r.Telemetry)
-		ampOpts = append(append([]amp.Option{}, ampOpts...), amp.WithFaultPlan(plan))
-		var tag uint64
-		schedOpts = append(append([]sched.Option{}, schedOpts...),
-			sched.WithObserverFactory(func(window uint64) monitor.Observer {
-				tag++
-				return plan.Observer(monitor.NewWindowTracker(window), tag)
-			}))
-	}
-
-	observed := false
-	if r.RunObserver != nil {
-		if o := r.RunObserver(i, p); o != nil {
-			ampOpts = append(append([]amp.Option{}, ampOpts...), amp.WithObserver(o))
-			observed = true
-		}
-	}
-
-	sc, _ := r.scratch.Get().(*pairScratch)
-	if sc == nil {
-		sc = &pairScratch{}
-	}
-	if sc.sys != nil {
-		// Flush the previous run's deferred engine state into the old
-		// threads before recycling them (see System.Detach).
-		sc.sys.Detach()
-	}
-	sc.threads[0].Reset(0, p.A, r.pairSeed(i, 0), 0)
-	sc.threads[1].Reset(1, p.B, r.pairSeed(i, 1), 1<<40)
-	threads := [2]*amp.Thread{&sc.threads[0], &sc.threads[1]}
-
-	var s amp.MoveScheduler
-	if factory != nil {
-		s = factory(schedOpts...)
-	}
-	cfg := amp.Config{
-		SwapOverheadCycles: overhead,
-		CycleBudget:        r.Opt.CycleBudget,
-	}
-	sys := sc.sys
-	if observed {
-		// An observed run's system carries per-run construction state
-		// (the observer), so it neither reuses the pooled system nor
-		// re-enters the pool.
-		sys = nil
-		sc.sys = nil
-	}
-	if sys != nil && r.Opt.FaultRate == 0 {
-		err = sys.Reset(threads, s, cfg)
-	} else {
-		// First run on this scratch, or a fault-injected or observed
-		// run (its options differ from the pooled system's
-		// construction set).
-		sys, err = amp.NewSystem([2]*cpu.Config{r.IntCfg, r.FPCfg}, threads, s, cfg, ampOpts...)
-	}
-	if err != nil {
-		return amp.Result{}, fmt.Errorf("experiments: pair %s: %w", p.Label(), err)
-	}
-	res, err = sys.RunContext(ctx, r.Opt.InstrLimit)
-	if r.Opt.FaultRate == 0 && !observed && sys.Poolable() {
-		sc.sys = sys
-	}
-	r.scratch.Put(sc)
-	if err != nil {
-		return res, fmt.Errorf("experiments: pair %s: %w", p.Label(), err)
-	}
-	return res, nil
-}
-
-// observeRun publishes one run's wall time and outcome.
-func (r *Runner) observeRun(p Pair, d time.Duration, err error) {
-	t := r.Telemetry
-	if t == nil {
-		return
-	}
-	t.Histogram("experiments.run_wall_us").Observe(uint64(d.Microseconds()))
-	if t.Eventing() {
-		e := telemetry.NewEvent("pair_run")
-		e.Pair = p.Label()
-		e.Value = d.Seconds()
-		if err != nil {
-			e.Detail = err.Error()
-		}
-		t.Emit(e)
-	}
-}
-
 // ProposedFactory builds the paper's default proposed scheduler with
 // the runner's (possibly scaled) forced-swap interval.
 func (r *Runner) ProposedFactory() SchedFactory {
@@ -662,8 +492,7 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 	if r.sweep != nil {
 		return r.sweep, nil
 	}
-	matrix, err := r.Matrix()
-	if err != nil {
+	if _, err := r.Matrix(); err != nil {
 		return nil, err
 	}
 	pairs := RandomPairs(r.Opt.Pairs, r.Opt.Seed)
@@ -678,13 +507,12 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 		workers = len(pairs)
 	}
 
-	// Interval-fidelity sweeps claim pair chunks and advance each
-	// chunk's runs through one interleaved batch pass; everything else
-	// claims single pairs. Either way the per-pair bookkeeping
-	// (checkpointing, telemetry, progress) is identical.
-	chunk := 1
-	if r.Batchable() {
-		chunk = sweepBatchPairs
+	// Each worker claims a chunk of pairs and advances the chunk's runs
+	// through one batch pass; the per-pair bookkeeping (checkpointing,
+	// telemetry, progress) follows pair by pair.
+	chunk := r.claimPairs
+	if chunk <= 0 {
+		chunk = BatchPairs(r.Opt.Fidelity)
 	}
 	var (
 		wg   sync.WaitGroup
@@ -696,6 +524,7 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			idxs := make([]int, 0, chunk)
+			claimed := make([]Pair, 0, chunk)
 			for {
 				base := int(next.Add(int64(chunk))) - chunk
 				if base >= len(pairs) {
@@ -705,7 +534,7 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 				if end > len(pairs) {
 					end = len(pairs)
 				}
-				idxs = idxs[:0]
+				idxs, claimed = idxs[:0], claimed[:0]
 				for i := base; i < end; i++ {
 					if ckpt.restored(i) {
 						// Revived from the checkpoint before workers
@@ -720,15 +549,11 @@ func (r *Runner) SweepContext(ctx context.Context) (*SweepResult, error) {
 						continue
 					}
 					idxs = append(idxs, i)
+					claimed = append(claimed, pairs[i])
 				}
-				if len(idxs) > 1 {
-					r.runOutcomeBatch(ctx, idxs, pairs, matrix, out.Outcomes)
-				} else {
-					for _, i := range idxs {
-						out.Outcomes[i] = r.runOutcome(ctx, i, pairs[i], matrix)
-					}
-				}
-				for _, i := range idxs {
+				outcomes, _ := r.RunOutcomes(ctx, idxs, claimed)
+				for k, i := range idxs {
+					out.Outcomes[i] = outcomes[k]
 					r.observeOutcome(&out.Outcomes[i])
 					ckpt.complete(i)
 					if e := out.Outcomes[i].Err; e != "" {
@@ -763,34 +588,6 @@ func (r *Runner) observeOutcome(po *PairOutcome) {
 	} else {
 		r.Telemetry.Counter("experiments.pairs_done").Inc()
 	}
-}
-
-// runOutcome executes one pair under the three schemes, downgrading
-// any failure to a flagged outcome.
-func (r *Runner) runOutcome(ctx context.Context, i int, p Pair, matrix *profilegen.RatioMatrix) PairOutcome {
-	po := PairOutcome{Pair: p}
-	fail := func(err error) PairOutcome {
-		po.Failed = true
-		po.Err = err.Error()
-		return po
-	}
-	var err error
-	if po.Proposed, err = r.RunPairContext(ctx, i, p, r.ProposedFactory()); err != nil {
-		return fail(err)
-	}
-	if po.HPE, err = r.RunPairContext(ctx, i, p, r.HPEFactory(matrix)); err != nil {
-		return fail(err)
-	}
-	if po.RR, err = r.RunPairContext(ctx, i, p, r.RRFactory(1)); err != nil {
-		return fail(err)
-	}
-	if po.VsHPE, err = metrics.Compare(po.Proposed, po.HPE); err != nil {
-		return fail(err)
-	}
-	if po.VsRR, err = metrics.Compare(po.Proposed, po.RR); err != nil {
-		return fail(err)
-	}
-	return po
 }
 
 // WeightedVsHPE extracts the per-pair weighted improvements over HPE,

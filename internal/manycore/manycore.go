@@ -65,12 +65,6 @@ type Config struct {
 	WatchdogCycles uint64
 	// CycleBudget bounds one run call's total cycles (0 = unlimited).
 	CycleBudget uint64
-	// Engine builds each core's simulation engine; nil selects the
-	// cycle-accurate cpu.DetailedFactory.
-	//
-	// Deprecated: pass WithEngine to New instead. The field remains
-	// functional for one release; the option takes precedence.
-	Engine cpu.EngineFactory
 }
 
 // withDefaults resolves the zero-value knobs.
@@ -96,8 +90,8 @@ type System struct {
 	sched    amp.MoveScheduler
 	cfg      Config
 
-	// engineFactory builds the engines (WithEngine or the deprecated
-	// Config.Engine); nil means cpu.DetailedFactory.
+	// engineFactory builds the engines (WithEngine); nil means
+	// cpu.DetailedFactory.
 	engineFactory cpu.EngineFactory
 	injector      amp.SwapInjector
 	obs           amp.Observer
@@ -156,7 +150,6 @@ func New(cores []CoreSpec, threads []ThreadSpec, sched amp.MoveScheduler, cfg Co
 		threadMark: make([]uint64, m),
 		coreMark:   make([]uint64, n),
 	}
-	s.engineFactory = cfg.Engine
 	for _, opt := range opts {
 		if opt != nil {
 			opt(s)
@@ -251,9 +244,6 @@ func (s *System) ThreadEnergyNJ(thread int) float64 {
 // LastSwapCycle implements amp.View: the cycle the last move batch's
 // stall window ended (0 if none).
 func (s *System) LastSwapCycle() uint64 { return s.lastReassign }
-
-// LastReassignCycle is the historical name of LastSwapCycle.
-func (s *System) LastReassignCycle() uint64 { return s.lastReassign }
 
 // SwapFailures implements amp.View: move batches the fault injector
 // dropped.

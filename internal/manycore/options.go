@@ -37,8 +37,7 @@ func WithFaultPlan(inj amp.SwapInjector) Option {
 // WithEngine selects the simulation fidelity: New builds every core
 // with f instead of the default cpu.DetailedFactory. A nil f keeps
 // the default, so call sites can pass a possibly-unset factory
-// unconditionally. The option takes precedence over the deprecated
-// Config.Engine field.
+// unconditionally.
 func WithEngine(f cpu.EngineFactory) Option {
 	return func(s *System) {
 		if f != nil {

@@ -98,11 +98,6 @@ func (p *ProposedExt) Config() ExtendedConfig { return p.cfg }
 // converted to stay votes.
 func (p *ProposedExt) Vetoes() uint64 { return p.vetoes }
 
-// SetObserver implements ObserverInjectable.
-func (p *ProposedExt) SetObserver(factory func(window uint64) monitor.Observer) {
-	p.obsFactory = factory
-}
-
 // Reset implements amp.MoveScheduler.
 func (p *ProposedExt) Reset(v amp.View) {
 	p.intCore, p.fpCore = coreIndexes(v)
@@ -257,4 +252,3 @@ func (p *ProposedExt) Tick(v amp.View) []amp.Move {
 
 var _ amp.MoveScheduler = (*ProposedExt)(nil)
 var _ amp.StatsReporter = (*ProposedExt)(nil)
-var _ ObserverInjectable = (*ProposedExt)(nil)

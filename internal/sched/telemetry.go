@@ -35,10 +35,7 @@ func WithTelemetry(t *telemetry.Telemetry) Option {
 }
 
 // WithObserverFactory replaces the scheduler's hardware monitors, one
-// observer per thread in thread order — the fault-injection seam. It
-// replaces the deprecated ObserverInjectable.SetObserver method; a
-// later SetObserver call still overrides it during the deprecation
-// window.
+// observer per thread in thread order — the fault-injection seam.
 func WithObserverFactory(f func(window uint64) monitor.Observer) Option {
 	return func(o *options) { o.obsFactory = f }
 }

@@ -7,9 +7,9 @@
 // across one job's own in-flight window) and executes each group as a
 // single experiments.RunPairsBatch interleaved pass, which shares
 // calibration tables and pooled systems across every run in the
-// group. Results are byte-identical to the pair-at-a-time path — the
-// batch engine's cross-path identity suite pins that — so batching is
-// invisible to the cache and the API.
+// group. Results are byte-identical to an unbatched compute — the
+// batch engine's identity suite pins that — so batching is invisible
+// to the cache and the API.
 package server
 
 import (
@@ -17,14 +17,9 @@ import (
 	"sync"
 	"time"
 
-	"ampsched/internal/amp"
 	"ampsched/internal/experiments"
 	"ampsched/internal/telemetry"
 )
-
-// defaultBatchPairs is the flush high-water mark in pairs (three
-// scheduler runs each), matching the sweep's own chunk size.
-const defaultBatchPairs = 8
 
 // defaultBatchLinger is how long the first request in an empty batch
 // waits for companions before flushing anyway. Two milliseconds is
@@ -34,8 +29,8 @@ const defaultBatchLinger = 2 * time.Millisecond
 
 // pairResp is one request's share of a finished batch.
 type pairResp struct {
-	proposed, hpe, rr amp.Result
-	err               error
+	outcome experiments.PairOutcome
+	err     error
 }
 
 // pairReq is one queued pair-compute request.
@@ -62,14 +57,14 @@ type pairBatcher struct {
 	timer *time.Timer
 }
 
-func newPairBatcher(ctx context.Context, runner *experiments.Runner, linger time.Duration, tel *telemetry.Telemetry) *pairBatcher {
+func newPairBatcher(ctx context.Context, runner *experiments.Runner, maxPairs int, linger time.Duration, tel *telemetry.Telemetry) *pairBatcher {
 	if linger <= 0 {
 		linger = defaultBatchLinger
 	}
 	return &pairBatcher{
 		runner:   runner,
 		ctx:      ctx,
-		maxPairs: defaultBatchPairs,
+		maxPairs: maxPairs,
 		linger:   linger,
 		batches:  tel.Counter("server.pair_batches"),
 		pairs:    tel.Counter("server.batched_pairs"),
@@ -80,7 +75,7 @@ func newPairBatcher(ctx context.Context, runner *experiments.Runner, linger time
 // its batch completes or ctx ends. An abandoned request (ctx canceled
 // while waiting) still computes with its batch; only the caller stops
 // listening.
-func (b *pairBatcher) run(ctx context.Context, i int, p experiments.Pair) (proposed, hpe, rr amp.Result, err error) {
+func (b *pairBatcher) run(ctx context.Context, i int, p experiments.Pair) pairResp {
 	req := &pairReq{idx: i, pair: p, resp: make(chan pairResp, 1)}
 	b.mu.Lock()
 	b.reqs = append(b.reqs, req)
@@ -99,9 +94,9 @@ func (b *pairBatcher) run(ctx context.Context, i int, p experiments.Pair) (propo
 	}
 	select {
 	case r := <-req.resp:
-		return r.proposed, r.hpe, r.rr, r.err
+		return r
 	case <-ctx.Done():
-		return amp.Result{}, amp.Result{}, amp.Result{}, ctx.Err()
+		return pairResp{err: ctx.Err()}
 	}
 }
 
@@ -127,70 +122,57 @@ func (b *pairBatcher) flushLinger() {
 }
 
 // flush executes one group as a single interleaved pass and delivers
-// each request's three results. Runs fail independently inside the
-// pass, so one wedged pair degrades only its own request.
+// each request's outcome. Runs fail independently inside the pass, so
+// one wedged pair degrades only its own request.
 func (b *pairBatcher) flush(reqs []*pairReq) {
 	if len(reqs) == 0 {
 		return
 	}
-	m, merr := b.runner.Matrix()
-	if merr != nil {
-		for _, rq := range reqs {
-			rq.resp <- pairResp{err: merr}
-		}
-		return
+	idxs := make([]int, len(reqs))
+	pairs := make([]experiments.Pair, len(reqs))
+	for k, rq := range reqs {
+		idxs[k], pairs[k] = rq.idx, rq.pair
 	}
-	runs := make([]experiments.PairRun, 0, 3*len(reqs))
-	for _, rq := range reqs {
-		runs = append(runs,
-			experiments.PairRun{Index: rq.idx, Pair: rq.pair, Factory: b.runner.ProposedFactory()},
-			experiments.PairRun{Index: rq.idx, Pair: rq.pair, Factory: b.runner.HPEFactory(m)},
-			experiments.PairRun{Index: rq.idx, Pair: rq.pair, Factory: b.runner.RRFactory(1)},
-		)
-	}
-	results, errs := b.runner.RunPairsBatch(b.ctx, runs)
+	outcomes, errs := b.runner.RunOutcomes(b.ctx, idxs, pairs)
 	b.batches.Inc()
 	b.pairs.Add(uint64(len(reqs)))
 	for k, rq := range reqs {
-		resp := pairResp{
-			proposed: results[3*k],
-			hpe:      results[3*k+1],
-			rr:       results[3*k+2],
-		}
-		for _, e := range errs[3*k : 3*k+3] {
-			if e != nil {
-				resp.err = e
-				break
-			}
-		}
-		rq.resp <- resp
+		rq.resp <- pairResp{outcome: outcomes[k], err: errs[k]}
 	}
 }
 
 // batcherFor returns the shared batcher for runner, or nil when
-// batching does not apply (disabled by config, or the runner's options
-// are not batchable — wrong fidelity, fault injection on).
+// batching does not apply: disabled by config, or a fidelity whose
+// batch pass takes one pair (experiments.BatchPairs).
 func (s *Server) batcherFor(runner *experiments.Runner) *pairBatcher {
-	if s.cfg.BatchLinger < 0 || !runner.Batchable() {
+	maxPairs := experiments.BatchPairs(runner.Opt.Fidelity)
+	if s.cfg.BatchLinger < 0 || maxPairs <= 1 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.batchers[runner]
 	if !ok {
-		b = newPairBatcher(s.batchCtx, runner, s.cfg.BatchLinger, s.tel)
+		b = newPairBatcher(s.batchCtx, runner, maxPairs, s.cfg.BatchLinger, s.tel)
 		s.batchers[runner] = b
 	}
 	return b
 }
 
-// computePairBatched is computePair routed through the shared batcher:
-// same three runs, same comparison record, produced by the interleaved
-// pass instead of three solo calls.
-func (s *Server) computePairBatched(ctx context.Context, b *pairBatcher, i int, p experiments.Pair, key string) ([]byte, error) {
-	proposed, hpe, rr, err := b.run(ctx, i, p)
-	if err != nil {
-		return nil, err
+// computePair runs one pair under the three schedulers — through the
+// shared batcher when one applies, else as its own batch pass — and
+// marshals the comparison record. A wedged or panicking run surfaces
+// as an error (never cached).
+func (s *Server) computePair(ctx context.Context, runner *experiments.Runner, i int, p experiments.Pair, key string) ([]byte, error) {
+	var r pairResp
+	if b := s.batcherFor(runner); b != nil {
+		r = b.run(ctx, i, p)
+	} else {
+		outcomes, errs := runner.RunOutcomes(ctx, []int{i}, []experiments.Pair{p})
+		r = pairResp{outcome: outcomes[0], err: errs[0]}
 	}
-	return marshalPairResult(i, p, key, proposed, hpe, rr)
+	if r.err != nil {
+		return nil, r.err
+	}
+	return marshalPairResult(i, key, r.outcome)
 }

@@ -42,7 +42,6 @@ import (
 	"ampsched/internal/fault"
 	"ampsched/internal/interval"
 	"ampsched/internal/jobqueue"
-	"ampsched/internal/metrics"
 	"ampsched/internal/telemetry"
 	"ampsched/internal/wal"
 )
@@ -72,8 +71,8 @@ type Config struct {
 	Chaos *fault.ServicePlan
 	// BatchLinger tunes the pair batcher: how long a pair computation
 	// waits for companions before its batch flushes (0 = 2ms). A
-	// negative value disables batching entirely — every pair runs
-	// pair-at-a-time, the identity tests' reference path.
+	// negative value disables batching entirely — each pair's three
+	// runs form their own batch pass, the identity tests' reference.
 	BatchLinger time.Duration
 	// FlushEvery, when positive, runs a background durability flusher
 	// that persists dirty cache entries and fsyncs the journal on that
@@ -646,11 +645,11 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 	// `window` pair computations run concurrently (so one job's pairs
 	// co-batch in the shared pairBatcher, and with other jobs'), while
 	// outcomes are emitted strictly in pair order — append order is the
-	// streaming API's contract. Non-batchable runners keep a window of
-	// one, which is exactly the old serial loop.
+	// streaming API's contract. Without a batcher the window is one:
+	// a serial loop.
 	window := 1
-	if s.batcherFor(runner) != nil {
-		window = defaultBatchPairs
+	if b := s.batcherFor(runner); b != nil {
+		window = b.maxPairs
 	}
 	type pairServe struct {
 		key    string
@@ -690,13 +689,7 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 							return rdata, nil
 						}
 					}
-					var cdata []byte
-					var cerr error
-					if b := s.batcherFor(runner); b != nil {
-						cdata, cerr = s.computePairBatched(ctx, b, i, p, key)
-					} else {
-						cdata, cerr = s.computePair(ctx, runner, i, p, key)
-					}
+					cdata, cerr := s.computePair(ctx, runner, i, p, key)
 					if cerr == nil && publish != nil {
 						publish(key, cdata)
 					}
@@ -760,55 +753,21 @@ func (s *Server) runJob(ctx context.Context, j *jobEntry, runner *experiments.Ru
 	return nil
 }
 
-// computePair runs one pair under the three schedulers and marshals
-// the comparison record. A wedged or panicking run surfaces as an
-// error (never cached).
-func (s *Server) computePair(ctx context.Context, runner *experiments.Runner, i int, p experiments.Pair, key string) ([]byte, error) {
-	proposed, err := runner.RunPairContext(ctx, i, p, runner.ProposedFactory())
-	if err != nil {
-		return nil, err
-	}
-	m, err := runner.Matrix()
-	if err != nil {
-		return nil, err
-	}
-	hpe, err := runner.RunPairContext(ctx, i, p, runner.HPEFactory(m))
-	if err != nil {
-		return nil, err
-	}
-	rr, err := runner.RunPairContext(ctx, i, p, runner.RRFactory(1))
-	if err != nil {
-		return nil, err
-	}
-	return marshalPairResult(i, p, key, proposed, hpe, rr)
-}
-
 // marshalPairResult builds the canonical comparison record from one
-// pair's three runs — the single encoding behind both the
-// pair-at-a-time and batched compute paths, so the cache bytes cannot
-// depend on which path produced them.
-func marshalPairResult(i int, p experiments.Pair, key string, proposed, hpe, rr amp.Result) ([]byte, error) {
-	vsHPE, err := metrics.Compare(proposed, hpe)
-	if err != nil {
-		return nil, err
-	}
-	vsRR, err := metrics.Compare(proposed, rr)
-	if err != nil {
-		return nil, err
-	}
-	r := PairResult{
+// pair's outcome.
+func marshalPairResult(i int, key string, po experiments.PairOutcome) ([]byte, error) {
+	return json.Marshal(PairResult{
 		Index:            i,
-		Pair:             p.Label(),
+		Pair:             po.Pair.Label(),
 		Key:              key,
-		Proposed:         schedResult(proposed),
-		HPE:              schedResult(hpe),
-		RR:               schedResult(rr),
-		WeightedVsHPEPct: vsHPE.WeightedPct,
-		WeightedVsRRPct:  vsRR.WeightedPct,
-		GeoVsHPEPct:      vsHPE.GeoPct,
-		GeoVsRRPct:       vsRR.GeoPct,
-	}
-	return json.Marshal(r)
+		Proposed:         schedResult(po.Proposed),
+		HPE:              schedResult(po.HPE),
+		RR:               schedResult(po.RR),
+		WeightedVsHPEPct: po.VsHPE.WeightedPct,
+		WeightedVsRRPct:  po.VsRR.WeightedPct,
+		GeoVsHPEPct:      po.VsHPE.GeoPct,
+		GeoVsRRPct:       po.VsRR.GeoPct,
+	})
 }
 
 // runNXMJob executes an nxm scaling job: one cached unit per core
