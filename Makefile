@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet ampvet analyze lint lint-bench test test-short test-race bench bench-snapshot bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale fuzz fuzz-fault fuzz-wal clean
+.PHONY: all build vet ampvet analyze lint lint-bench test test-short test-race bench bench-snapshot bench-snapshot-check bench-core bench-check bench-core-check bench-server bench-server-check bench-manycore bench-manycore-check bench-fleet bench-fleet-check serve-smoke chaos-smoke fleet-smoke nxm-smoke experiments experiments-paper paperscale fuzz fuzz-fault fuzz-wal clean
 
 all: build lint test test-race
 
@@ -57,10 +57,19 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable snapshot of the hot-path benchmarks (the ones the
-# telemetry work must not regress), written to BENCH_telemetry.json.
+# telemetry work must not regress; BenchmarkCoreSimulation also
+# matches its MemBound variant), written to BENCH_telemetry.json.
+SNAPSHOT_BENCH = 'BenchmarkCoreSimulation|BenchmarkDualCoreSystem|BenchmarkWorkloadGenerator'
+
 bench-snapshot:
-	$(GO) test -run NONE -bench 'BenchmarkCoreSimulation|BenchmarkDualCoreSystem|BenchmarkWorkloadGenerator' -benchmem . \
+	$(GO) test -run NONE -bench $(SNAPSHOT_BENCH) -benchmem . \
 		| $(GO) run ./cmd/benchsnap -o BENCH_telemetry.json
+
+# Regression gate for the hot-path snapshot against the committed
+# baseline (fails past +10% ns/op or any allocs/op increase).
+bench-snapshot-check:
+	$(GO) test -run NONE -bench $(SNAPSHOT_BENCH) -benchmem . \
+		| $(GO) run ./cmd/benchsnap -compare BENCH_telemetry.json
 
 # Snapshot the simulation-engine benchmarks (detailed vs interval vs
 # sampled hot loops) into the committed baseline BENCH_core.json.

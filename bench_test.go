@@ -380,11 +380,11 @@ func BenchmarkEngineSoloInterval(b *testing.B) { benchSoloEngine(b, interval.Fac
 
 // --- microbenchmarks of the substrate --------------------------------
 
-// BenchmarkCoreSimulation measures simulated cycles per second of one
-// out-of-order core running gcc.
-func BenchmarkCoreSimulation(b *testing.B) {
+// benchCoreSimulation measures simulated cycles per second of one
+// out-of-order INT core running the named benchmark.
+func benchCoreSimulation(b *testing.B, name string) {
 	cfg := cpu.IntCoreConfig()
-	bench := workload.MustByName("gcc")
+	bench := workload.MustByName(name)
 	gen := workload.NewGenerator(bench, 1, 0)
 	core := cpu.NewCore(cfg)
 	arch := &cpu.ThreadArch{CodeBase: 1 << 36, CodeSize: bench.EffectiveCodeFootprint()}
@@ -394,6 +394,15 @@ func BenchmarkCoreSimulation(b *testing.B) {
 		core.Step(uint64(i))
 	}
 }
+
+// BenchmarkCoreSimulation measures the core on gcc (a mixed integer
+// workload whose issue stage is busy most cycles).
+func BenchmarkCoreSimulation(b *testing.B) { benchCoreSimulation(b, "gcc") }
+
+// BenchmarkCoreSimulationMemBound measures the core on mcf, where the
+// ROB mostly waits on cache misses and calibration spends the most
+// time; it is the row the issue-wake skip moves.
+func BenchmarkCoreSimulationMemBound(b *testing.B) { benchCoreSimulation(b, "mcf") }
 
 // BenchmarkDualCoreSystem measures a full two-core system cycle under
 // the proposed scheduler.

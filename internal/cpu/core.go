@@ -113,11 +113,21 @@ type Core struct {
 	src  InstrSource
 	arch *ThreadArch
 
-	// Reorder buffer as a ring indexed by seq % ROBSize. headSeq is
-	// the oldest live sequence number; nextSeq the next to allocate.
+	// Reorder buffer as a ring: seq lives in slot seq % ROBSize.
+	// headSeq is the oldest live sequence number, tailSeq the next to
+	// allocate; headIdx and tailIdx are their slots, advanced by a
+	// compare-and-wrap so the per-cycle stages never divide.
 	rob     []robEntry
 	headSeq uint64
 	tailSeq uint64 // == next seq to dispatch into the ROB
+	headIdx int
+	tailIdx int
+
+	// issueWake is the earliest cycle an issue scan can issue anything.
+	// A scan that issues nothing sets it from what blocked each entry;
+	// issue returns at once before it. Dispatch, Bind, Unbind and
+	// Reconfigure reset it to 0 (see DESIGN.md §8).
+	issueWake uint64
 
 	// Fetch buffer (fetched, not yet dispatched).
 	fq     []fetchedOp
@@ -234,6 +244,9 @@ func (c *Core) Bind(src InstrSource, arch *ThreadArch) {
 	c.arch = arch
 	c.headSeq = arch.NextSeq
 	c.tailSeq = arch.NextSeq
+	c.headIdx = int(arch.NextSeq % uint64(len(c.rob)))
+	c.tailIdx = c.headIdx
+	c.issueWake = 0
 	c.fqHead = 0
 	c.fqLen = 0
 	c.fetchResumeAt = 0
@@ -256,6 +269,9 @@ func (c *Core) Unbind() uint64 {
 	}
 	c.headSeq = 0
 	c.tailSeq = 0
+	c.headIdx = 0
+	c.tailIdx = 0
+	c.issueWake = 0
 	c.fqLen = 0
 	c.fqHead = 0
 	c.resetResources()
@@ -293,15 +309,21 @@ func (c *Core) Step(now uint64) {
 	c.fetch(now)
 }
 
-func (c *Core) entry(seq uint64) *robEntry {
-	return &c.rob[seq%uint64(len(c.rob))]
+// nextSlot returns the ROB slot after i.
+//
+//ampvet:hotpath
+func (c *Core) nextSlot(i int) int {
+	if i++; i == len(c.rob) {
+		return 0
+	}
+	return i
 }
 
 //ampvet:hotpath
 func (c *Core) commit(now uint64) {
 	width := c.cfg.CommitWidth
 	for n := 0; n < width && c.headSeq < c.tailSeq; n++ {
-		e := c.entry(c.headSeq)
+		e := &c.rob[c.headIdx]
 		if e.state != stIssued || e.doneAt > now {
 			return
 		}
@@ -328,6 +350,7 @@ func (c *Core) commit(now uint64) {
 		}
 		e.state = stEmpty
 		c.headSeq++
+		c.headIdx = c.nextSlot(c.headIdx)
 	}
 }
 
@@ -363,31 +386,74 @@ func (c *Core) claimUnit(k UnitKind, now uint64) int {
 	return -1
 }
 
-func (c *Core) producerReady(dep uint64, now uint64) bool {
-	if dep == noSeq || dep < c.headSeq {
-		return true
+// unitFreeAt returns the cycle the soonest-free instance of a
+// non-pipelined unit kind k frees up. Pipelined kinds never set their
+// timers, so they report 0: a rescan on the next cycle, when the
+// per-cycle acceptances reset.
+//
+//ampvet:hotpath
+func (c *Core) unitFreeAt(k UnitKind) uint64 {
+	free := noSeq
+	for _, t := range c.busyUntil[k] {
+		free = min(free, t)
 	}
-	p := c.entry(dep)
-	return p.state == stIssued && p.doneAt <= now
+	return free
+}
+
+// readyAt returns the cycle from which producer dep's result is
+// available to the consumer seq in ROB slot slot: 0 for no producer
+// or a committed one, doneAt for an issued one, and noSeq for one
+// still waiting to issue (it cannot be ready before it issues, and its
+// own entry bounds that). The producer's slot is found by stepping
+// back from the consumer's, which is exact because both are live.
+//
+//ampvet:hotpath
+func (c *Core) readyAt(dep, seq uint64, slot int) uint64 {
+	if dep == noSeq || dep < c.headSeq {
+		return 0
+	}
+	p := slot - int(seq-dep)
+	if p < 0 {
+		p += len(c.rob)
+	}
+	if e := &c.rob[p]; e.state == stIssued {
+		return e.doneAt
+	}
+	return noSeq
 }
 
 //ampvet:hotpath
 func (c *Core) issue(now uint64) {
+	if now < c.issueWake {
+		return
+	}
 	for k := range c.accepted {
 		c.accepted[k] = 0
 	}
+	// wake is the earliest cycle any blocked entry could issue. It is
+	// kept only when nothing issues: then the scan visited every entry,
+	// and until that cycle only the resets listed on issueWake can
+	// unblock one.
+	wake := noSeq
 	issued := 0
-	for seq := c.headSeq; seq < c.tailSeq && issued < c.cfg.IssueWidth; seq++ {
-		e := c.entry(seq)
+	slot := c.headIdx
+	for seq := c.headSeq; seq < c.tailSeq && issued < c.cfg.IssueWidth; seq, slot = seq+1, c.nextSlot(slot) {
+		e := &c.rob[slot]
 		if e.state != stDispatched {
 			continue
 		}
-		if !c.producerReady(e.dep1, now) || !c.producerReady(e.dep2, now) {
+		if r := c.readyAt(e.dep1, seq, slot); r > now {
+			wake = min(wake, r)
+			continue
+		}
+		if r := c.readyAt(e.dep2, seq, slot); r > now {
+			wake = min(wake, r)
 			continue
 		}
 		kind := unitFor(e.class)
 		lat := c.claimUnit(kind, now)
 		if lat < 0 {
+			wake = min(wake, c.unitFreeAt(kind))
 			continue
 		}
 		issued++
@@ -438,6 +504,9 @@ func (c *Core) issue(now uint64) {
 			}
 		}
 		e.state = stIssued
+	}
+	if issued == 0 {
+		c.issueWake = wake
 	}
 }
 
@@ -490,8 +559,7 @@ func (c *Core) dispatch(now uint64) {
 			c.act.IntISQWrites++
 		}
 
-		e := c.entry(op.seq)
-		*e = robEntry{
+		c.rob[c.tailIdx] = robEntry{
 			seq:   op.seq,
 			dep1:  op.dep1,
 			dep2:  op.dep2,
@@ -501,9 +569,13 @@ func (c *Core) dispatch(now uint64) {
 			misp:  op.misp,
 		}
 		c.tailSeq = op.seq + 1
+		c.tailIdx = c.nextSlot(c.tailIdx)
+		c.issueWake = 0
 		c.act.Renames++
 		c.act.ROBWrites++
-		c.fqHead = (c.fqHead + 1) % len(c.fq)
+		if c.fqHead++; c.fqHead == len(c.fq) {
+			c.fqHead = 0
+		}
 		c.fqLen--
 	}
 }
@@ -572,7 +644,10 @@ func (c *Core) fetch(now uint64) {
 			c.advancePC()
 		}
 
-		tail := (c.fqHead + c.fqLen) % len(c.fq)
+		tail := c.fqHead + c.fqLen
+		if tail >= len(c.fq) {
+			tail -= len(c.fq)
+		}
 		c.fq[tail] = op
 		c.fqLen++
 		if endGroup {

@@ -94,6 +94,7 @@ func (c *Core) Reconfigure(units [NumUnitKinds]UnitSpec) error {
 		}
 	}
 	c.units = units
+	c.issueWake = 0
 	for k := UnitKind(0); k < NumUnitKinds; k++ {
 		c.busyUntil[k] = make([]uint64, units[k].Count)
 	}

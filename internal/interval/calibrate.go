@@ -231,9 +231,18 @@ type calEntry struct {
 	lastUse atomic.Uint64
 }
 
+// calCall is one in-flight calibration. Concurrent misses on its key
+// wait on done instead of running the same detailed run again; cal
+// stays nil if the run panicked.
+type calCall struct {
+	done chan struct{}
+	cal  *Calibration
+}
+
 var (
 	calMu     sync.RWMutex
 	calCache  = map[calKey]*calEntry{}
+	calFlight = map[calKey]*calCall{}
 	calBytes  uint64 // sum of resident entry sizes in bytes
 	calBudget uint64 = DefaultCalCacheBytes
 	calClock  atomic.Uint64
@@ -292,34 +301,61 @@ func calEvictLocked() {
 
 // calibrationFor returns the (cached) calibration for running bench on
 // a core with configuration cfg and effective units. Hits touch only
-// the read lock (the recency stamp is atomic); misses run the detailed
-// calibration outside any lock and may evict older entries on insert.
+// the read lock (the recency stamp is atomic). The first miss on a key
+// runs the detailed calibration outside any lock and may evict older
+// entries on insert; misses that arrive while it runs wait for its
+// result and count as hits.
 func calibrationFor(cfg *cpu.Config, units [cpu.NumUnitKinds]cpu.UnitSpec, bench *workload.Benchmark) *Calibration {
 	key := calKey{cfg: *cfg, units: units, bench: bench.Name}
+	tel := calTel.Load()
 	calMu.RLock()
 	e := calCache[key]
 	calMu.RUnlock()
-	tel := calTel.Load()
-	if e != nil {
-		e.lastUse.Store(calClock.Add(1))
-		tel.Counter("interval.cal_cache_hits").Inc()
-		return e.cal
+	if e == nil {
+		calMu.Lock()
+		if e = calCache[key]; e == nil {
+			call := calFlight[key]
+			if call == nil {
+				call = &calCall{done: make(chan struct{})}
+				calFlight[key] = call
+				calMu.Unlock()
+				defer finishCall(call, key)
+				call.cal = Calibrate(cfg, units, bench)
+				tel.Counter("interval.calibrations").Inc()
+				return call.cal
+			}
+			calMu.Unlock()
+			<-call.done
+			if call.cal == nil {
+				// The first run panicked; this caller's identical
+				// run panics the same way.
+				return Calibrate(cfg, units, bench)
+			}
+			tel.Counter("interval.cal_cache_hits").Inc()
+			return call.cal
+		}
+		calMu.Unlock()
 	}
-	cal := Calibrate(cfg, units, bench)
-	tel.Counter("interval.calibrations").Inc()
+	e.lastUse.Store(calClock.Add(1))
+	tel.Counter("interval.cal_cache_hits").Inc()
+	return e.cal
+}
+
+// finishCall ends the in-flight calibration call for key, also when
+// the run panicked: it caches the result, if there is one, and wakes
+// the callers waiting on it.
+func finishCall(call *calCall, key calKey) {
 	calMu.Lock()
-	if prior := calCache[key]; prior != nil {
-		prior.lastUse.Store(calClock.Add(1))
-		cal = prior.cal // another goroutine computed the identical result
-	} else {
-		e := &calEntry{cal: cal, size: calSize(cal)}
+	delete(calFlight, key)
+	if call.cal != nil {
+		e := &calEntry{cal: call.cal, size: calSize(call.cal)}
 		e.lastUse.Store(calClock.Add(1))
 		calCache[key] = e
 		calBytes += e.size
 		calEvictLocked()
 	}
 	calMu.Unlock()
-	return cal
+	close(call.done)
 }
 
 // Calibrate runs bench for calInstr instructions on a detailed core

@@ -2,6 +2,7 @@ package interval
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"ampsched/internal/cpu"
@@ -16,6 +17,7 @@ func resetCalCacheForTest(t *testing.T, tel *telemetry.Telemetry) {
 	t.Helper()
 	calMu.Lock()
 	calCache = map[calKey]*calEntry{}
+	calFlight = map[calKey]*calCall{}
 	calBytes = 0
 	calBudget = DefaultCalCacheBytes
 	calMu.Unlock()
@@ -88,5 +90,96 @@ func TestCalCacheBoundedLRU(t *testing.T) {
 	calMu.RUnlock()
 	if n != 1 {
 		t.Fatalf("tiny budget kept %d entries, want 1", n)
+	}
+}
+
+// TestCalibrationSingleflight pins the per-key singleflight: goroutines
+// that miss one key at the same time share a single detailed run, and
+// every one of them gets that run's result.
+func TestCalibrationSingleflight(t *testing.T) {
+	tel := telemetry.New()
+	resetCalCacheForTest(t, tel)
+
+	cfg := cpu.FPCoreConfig()
+	bench := workload.MustByName("mcf")
+	const n = 8
+	var (
+		start sync.WaitGroup
+		done  sync.WaitGroup
+		got   [n]*Calibration
+	)
+	start.Add(1)
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = calibrationFor(cfg, cfg.Units, bench)
+		}()
+	}
+	start.Done()
+	done.Wait()
+
+	if c := tel.Counter("interval.calibrations").Value(); c != 1 {
+		t.Fatalf("interval.calibrations = %d, want 1", c)
+	}
+	if h := tel.Counter("interval.cal_cache_hits").Value(); h != n-1 {
+		t.Fatalf("interval.cal_cache_hits = %d, want %d", h, n-1)
+	}
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("caller %d got a different calibration", i)
+		}
+	}
+	calMu.RLock()
+	inFlight := len(calFlight)
+	calMu.RUnlock()
+	if inFlight != 0 {
+		t.Fatalf("%d calibrations still marked in flight", inFlight)
+	}
+}
+
+// BenchmarkCalibrate measures one uncached calibration — the detailed
+// run plus the model fit — on mcf, the memory-bound benchmark whose
+// calibration takes longest.
+func BenchmarkCalibrate(b *testing.B) {
+	cfg := cpu.IntCoreConfig()
+	bench := workload.MustByName("mcf")
+	for i := 0; i < b.N; i++ {
+		Calibrate(cfg, cfg.Units, bench)
+	}
+}
+
+// TestCalibrationSingleflightPanic: a calibration that panics must not
+// strand the callers waiting on it. Each caller panics in turn and the
+// key is left neither cached nor in flight.
+func TestCalibrationSingleflightPanic(t *testing.T) {
+	resetCalCacheForTest(t, nil)
+
+	cfg := cpu.IntCoreConfig()
+	units := cfg.Units
+	units[cpu.UIntALU].Count = 0 // Reconfigure rejects it, so Calibrate panics
+	bench := workload.MustByName("gcc")
+	var wg sync.WaitGroup
+	panics := make(chan any, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics <- recover() }()
+			calibrationFor(cfg, units, bench)
+		}()
+	}
+	wg.Wait()
+	close(panics)
+	for p := range panics {
+		if p == nil {
+			t.Fatal("a caller returned instead of panicking")
+		}
+	}
+	calMu.RLock()
+	defer calMu.RUnlock()
+	if len(calFlight) != 0 || len(calCache) != 0 {
+		t.Fatalf("after panics: %d in flight, %d cached", len(calFlight), len(calCache))
 	}
 }
