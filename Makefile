@@ -72,23 +72,27 @@ bench-snapshot-check:
 		| $(GO) run ./cmd/benchsnap -compare BENCH_telemetry.json
 
 # Snapshot the simulation-engine benchmarks (detailed vs interval vs
-# sampled hot loops) into the committed baseline BENCH_core.json.
+# sampled hot loops) into the committed baseline BENCH_core.json. Each
+# row runs at GOMAXPROCS 1 and 2 (CORE_CPUS): the batch rows' pass
+# spreads its runs over idle CPUs, so the two procs are separate rows.
+CORE_CPUS = 1,2
+
 bench-core:
-	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem . \
+	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem -cpu $(CORE_CPUS) . \
 		| $(GO) run ./cmd/benchsnap -o BENCH_core.json
 
 # Regression gate: rerun the engine benchmarks and compare against the
 # committed baseline (fails past +10% ns/op or any allocs/op increase).
 bench-check:
-	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem . \
+	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem -cpu $(CORE_CPUS) . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json
 
 # CI form of the engine gate: the interval-fidelity rows' allocs/op
-# counts hard-fail (the batched/zero-alloc sweep guarantees live
-# there), while ns/op drift and the other fidelities stay advisory —
-# CI machines are too noisy for a hard ns gate.
+# counts hard-fail at every procs (the batched/zero-alloc sweep
+# guarantees live there), while ns/op drift and the other fidelities
+# stay advisory — CI machines are too noisy for a hard ns gate.
 bench-core-check:
-	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem . \
+	$(GO) test -run NONE -bench 'BenchmarkEngine' -benchmem -cpu $(CORE_CPUS) . \
 		| $(GO) run ./cmd/benchsnap -compare BENCH_core.json -hard-allocs 'Interval'
 
 # Snapshot the service hot-path benchmarks (cache-key hashing, warm

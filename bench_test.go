@@ -312,9 +312,8 @@ func BenchmarkEnginePairSweepInterval(b *testing.B) { benchFidelityPairs(b, inte
 func BenchmarkEnginePairSweepSampled(b *testing.B) { benchFidelityPairs(b, interval.FidelitySampled) }
 
 // benchBatchPairs drives the identical sweep through the batch
-// submission path: all of the sweep's runs advance through one
-// interleaved interval.BatchRunner pass instead of each run streaming
-// the shared tables alone.
+// submission path: all of the sweep's runs go through one pass, which
+// idle helpers join, so at -cpu 2 and up the runs share the CPUs.
 func benchBatchPairs(b *testing.B, fidelity string) {
 	opt := benchOptions()
 	opt.Fidelity = fidelity
@@ -352,12 +351,12 @@ func benchBatchPairs(b *testing.B, fidelity string) {
 }
 
 // BenchmarkEngineBatchSweepInterval is the batched counterpart of
-// BenchmarkEnginePairSweepInterval; the gap between the two is the
-// cache-residency and pooling win of the batch path.
+// BenchmarkEnginePairSweepInterval; at -cpu 1 the gap between the two
+// is the pooling win of the batch path, above it the run pool's
+// helpers add to it.
 func BenchmarkEngineBatchSweepInterval(b *testing.B) { benchBatchPairs(b, interval.FidelityInterval) }
 
-// BenchmarkEngineBatchSweepSampled batches the two-tier engine (its
-// detailed warm-up windows interleave with other runs' fast-forward).
+// BenchmarkEngineBatchSweepSampled batches the two-tier engine.
 func BenchmarkEngineBatchSweepSampled(b *testing.B) { benchBatchPairs(b, interval.FidelitySampled) }
 
 // benchSoloEngine isolates one engine's per-window hot loop on a

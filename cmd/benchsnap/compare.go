@@ -66,7 +66,27 @@ type compareResult struct {
 	hard     int
 }
 
-// compareSnapshots gates fresh against the committed baseline old. A
+// rowKey identifies a benchmark row: the same benchmark at two
+// GOMAXPROCS values is two rows.
+type rowKey struct {
+	name  string
+	procs int
+}
+
+func (b Benchmark) key() rowKey { return rowKey{b.Name, b.Procs} }
+
+// label names the row as go test prints it, with the -N suffix only
+// above one proc.
+func (b Benchmark) label() string {
+	if b.Procs > 1 {
+		return fmt.Sprintf("%s-%d", b.Name, b.Procs)
+	}
+	return b.Name
+}
+
+// compareSnapshots gates fresh against the committed baseline old,
+// matching rows on (name, procs); a baseline row without procs (the
+// other committed snapshots) matches its name at any procs. A
 // benchmark fails when its ns/op grew more than thresholdPct percent,
 // or when its allocs/op increased at all (the snapshot exists to pin
 // the hot-path zero-alloc guarantees, so any increase is a
@@ -76,19 +96,22 @@ type compareResult struct {
 // gate — renames should not break CI.
 func compareSnapshots(old, fresh *Snapshot, thresholdPct float64, hardAllocs *regexp.Regexp) compareResult {
 	var res compareResult
-	oldBy := make(map[string]Benchmark, len(old.Benchmarks))
+	oldBy := make(map[rowKey]Benchmark, len(old.Benchmarks))
 	for _, b := range old.Benchmarks {
-		oldBy[b.Name] = b
+		oldBy[b.key()] = b
 	}
-	seen := make(map[string]bool, len(fresh.Benchmarks))
+	seen := make(map[rowKey]bool, len(fresh.Benchmarks))
 	for _, nb := range fresh.Benchmarks {
-		seen[nb.Name] = true
-		ob, ok := oldBy[nb.Name]
+		ob, ok := oldBy[nb.key()]
+		if !ok {
+			ob, ok = oldBy[rowKey{nb.Name, 0}]
+		}
 		if !ok {
 			res.lines = append(res.lines,
-				fmt.Sprintf("new  %s: %.1f ns/op (no baseline)", nb.Name, nb.NsPerOp))
+				fmt.Sprintf("new  %s: %.1f ns/op (no baseline)", nb.label(), nb.NsPerOp))
 			continue
 		}
+		seen[ob.key()] = true
 		failed := false
 		if ob.NsPerOp > 0 {
 			pct := 100 * (nb.NsPerOp - ob.NsPerOp) / ob.NsPerOp
@@ -97,7 +120,7 @@ func compareSnapshots(old, fresh *Snapshot, thresholdPct float64, hardAllocs *re
 				res.failures++
 				res.lines = append(res.lines,
 					fmt.Sprintf("FAIL %s: %.1f -> %.1f ns/op (%+.1f%%, gate +%.1f%%)",
-						nb.Name, ob.NsPerOp, nb.NsPerOp, pct, thresholdPct))
+						nb.label(), ob.NsPerOp, nb.NsPerOp, pct, thresholdPct))
 			}
 		}
 		if nb.AllocsPerOp > ob.AllocsPerOp {
@@ -110,7 +133,7 @@ func compareSnapshots(old, fresh *Snapshot, thresholdPct float64, hardAllocs *re
 			}
 			res.lines = append(res.lines,
 				fmt.Sprintf("%s %s: allocs/op %d -> %d (any increase fails)",
-					tag, nb.Name, ob.AllocsPerOp, nb.AllocsPerOp))
+					tag, nb.label(), ob.AllocsPerOp, nb.AllocsPerOp))
 		}
 		if !failed {
 			pct := 0.0
@@ -119,13 +142,13 @@ func compareSnapshots(old, fresh *Snapshot, thresholdPct float64, hardAllocs *re
 			}
 			res.lines = append(res.lines,
 				fmt.Sprintf("ok   %s: %.1f -> %.1f ns/op (%+.1f%%)",
-					nb.Name, ob.NsPerOp, nb.NsPerOp, pct))
+					nb.label(), ob.NsPerOp, nb.NsPerOp, pct))
 		}
 	}
 	for _, ob := range old.Benchmarks {
-		if !seen[ob.Name] {
+		if !seen[ob.key()] {
 			res.lines = append(res.lines,
-				fmt.Sprintf("gone %s: in baseline but not in this run", ob.Name))
+				fmt.Sprintf("gone %s: in baseline but not in this run", ob.label()))
 		}
 	}
 	return res

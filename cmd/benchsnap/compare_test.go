@@ -116,6 +116,39 @@ func TestCompareNewAndGone(t *testing.T) {
 	}
 }
 
+// TestCompareMatchesProcs: the same benchmark at two GOMAXPROCS
+// values is two rows, each gated against its own baseline, and a
+// baseline row that predates procs matches its name at any procs.
+func TestCompareMatchesProcs(t *testing.T) {
+	at := func(b Benchmark, procs int) Benchmark { b.Procs = procs; return b }
+	old := &Snapshot{Benchmarks: []Benchmark{
+		at(bench("BenchmarkA", 100, 5), 1),
+		at(bench("BenchmarkA", 50, 5), 2),
+		bench("BenchmarkLegacy", 100, 0),
+	}}
+	fresh := &Snapshot{Benchmarks: []Benchmark{
+		at(bench("BenchmarkA", 100, 5), 1),
+		at(bench("BenchmarkA", 100, 5), 2),
+		at(bench("BenchmarkA", 30, 5), 4),
+		at(bench("BenchmarkLegacy", 100, 0), 1),
+		at(bench("BenchmarkLegacy", 100, 1), 2),
+	}}
+	res := compareSnapshots(old, fresh, 10, nil)
+	want := []string{
+		"ok   BenchmarkA: 100.0 -> 100.0 ns/op (+0.0%)",
+		"FAIL BenchmarkA-2: 50.0 -> 100.0 ns/op (+100.0%, gate +10.0%)",
+		"new  BenchmarkA-4: 30.0 ns/op (no baseline)",
+		"ok   BenchmarkLegacy: 100.0 -> 100.0 ns/op (+0.0%)",
+		"FAIL BenchmarkLegacy-2: allocs/op 0 -> 1 (any increase fails)",
+	}
+	if strings.Join(res.lines, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("report:\n%s\nwant:\n%s", strings.Join(res.lines, "\n"), strings.Join(want, "\n"))
+	}
+	if res.failures != 2 {
+		t.Fatalf("want 2 failures, got %d", res.failures)
+	}
+}
+
 func TestParseSnapshot(t *testing.T) {
 	in := `goos: linux
 goarch: amd64
@@ -123,6 +156,7 @@ pkg: ampsched
 cpu: Test CPU
 BenchmarkCoreSimulation-8   	     100	  12345.6 ns/op	       0 B/op	       0 allocs/op
 BenchmarkWithExtra-8        	      50	    200.0 ns/op	      16 B/op	       2 allocs/op	       1.5 pct_vs_hpe
+BenchmarkWithExtra          	      50	    300.0 ns/op	      16 B/op	       2 allocs/op	       1.5 pct_vs_hpe
 PASS
 ok  	ampsched	1.234s
 `
@@ -133,12 +167,16 @@ ok  	ampsched	1.234s
 	if snap.GOOS != "linux" || snap.Package != "ampsched" {
 		t.Fatalf("header mis-parsed: %+v", snap)
 	}
-	if len(snap.Benchmarks) != 2 {
-		t.Fatalf("want 2 benchmarks, got %+v", snap.Benchmarks)
+	if len(snap.Benchmarks) != 3 {
+		t.Fatalf("want 3 benchmarks, got %+v", snap.Benchmarks)
 	}
 	b := snap.Benchmarks[0]
-	if b.Name != "BenchmarkCoreSimulation" || b.NsPerOp != 12345.6 || b.AllocsPerOp != 0 {
+	if b.Name != "BenchmarkCoreSimulation" || b.Procs != 8 || b.NsPerOp != 12345.6 || b.AllocsPerOp != 0 {
 		t.Fatalf("first benchmark mis-parsed: %+v", b)
+	}
+	// go test prints no suffix at GOMAXPROCS 1.
+	if b := snap.Benchmarks[2]; b.Name != "BenchmarkWithExtra" || b.Procs != 1 {
+		t.Fatalf("unsuffixed row mis-parsed: %+v", b)
 	}
 	if got := snap.Benchmarks[1].Extra["pct_vs_hpe"]; got != 1.5 {
 		t.Fatalf("extra metric mis-parsed: %+v", snap.Benchmarks[1])

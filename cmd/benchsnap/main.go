@@ -15,13 +15,18 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	Name       string  `json:"name"`
+	Name string `json:"name"`
+	// Procs is the GOMAXPROCS the row ran at: go test's -N name suffix,
+	// or 1 where it prints none. A row is identified by (Name, Procs);
+	// 0 marks a baseline row written before procs were recorded.
+	Procs      int     `json:"procs,omitempty"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	// -benchmem metrics; an explicit 0 is the hot-path guarantee the
@@ -39,8 +44,13 @@ type Snapshot struct {
 	GOARCH string `json:"goarch,omitempty"`
 	// Package lists every package the run benchmarked, in run order,
 	// space-separated (one entry for a single-package run).
-	Package    string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Package string `json:"pkg,omitempty"`
+	CPU     string `json:"cpu,omitempty"`
+	// GOMAXPROCS and NProc describe the host that wrote the snapshot:
+	// its default GOMAXPROCS and its CPU count. Each row's Procs says
+	// what it ran at.
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
+	NProc      int         `json:"nproc,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -100,6 +110,7 @@ func main() {
 		return
 	}
 
+	snap.GOMAXPROCS, snap.NProc = runtime.GOMAXPROCS(0), runtime.NumCPU()
 	enc, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -123,18 +134,18 @@ func parseLine(line string) (Benchmark, bool) {
 	if len(f) < 4 {
 		return Benchmark{}, false
 	}
-	name := f[0]
+	name, procs := f[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		// Strip the GOMAXPROCS suffix.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		// Split off the GOMAXPROCS suffix.
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: name, Iterations: iters}
+	b := Benchmark{Name: name, Procs: procs, Iterations: iters}
 	// The rest is (value, unit) couples.
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)

@@ -647,7 +647,7 @@ const ctxCheckMask = 1<<12 - 1
 // canceled costs the loop one nil comparison per cycle.
 //
 // RunContext is one Stepper driven to completion; batch drivers that
-// interleave many systems use NewStepper directly.
+// pool many systems keep Stepper values and re-arm them with Reset.
 //
 //ampvet:hotpath
 func (s *System) RunContext(ctx context.Context, limit uint64) (Result, error) {

@@ -5,9 +5,8 @@ import "context"
 // Stepper is the resumable core of RunContext: it advances a system
 // toward an instruction limit one batch of stride-windows at a time,
 // carrying the watchdog, cycle-budget and cancellation bookkeeping
-// across calls. Batched sweep drivers interleave many pairs' steppers
-// round-robin so one pass shares the phase/calibration tables' cache
-// residency across pairs instead of each run streaming them alone;
+// across calls. Batch passes keep steppers in pooled per-run scratch
+// and drive each to completion on whichever goroutine claims it;
 // RunContext is a single stepper driven to completion.
 //
 // The loop advances in engine-stride windows: n == 1 for detailed

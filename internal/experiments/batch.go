@@ -3,6 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ampsched/internal/amp"
@@ -17,15 +21,17 @@ import (
 
 // The run path. Every pair run — RunPair and its variants, the sweep,
 // the server's batches — is a batch of one or more amp.Steppers driven
-// to completion by one interval.BatchRunner pass over pooled per-worker
-// scratch. Runs that share calibration and phase tables keep them
-// cache-resident across the whole pass; a batch of one is simply a
-// pass with a single run.
+// to completion by one pass over pooled per-worker scratch; a batch of
+// one is simply a pass with a single run.
 //
-// Interleaving is invisible to results: runs share no mutable state,
-// so a run inside a batch is bit-identical to the same run driven
-// alone (the identity suite in batch_test.go pins results, event
-// streams and trace bytes at every fidelity).
+// A pass is a run pool: its runs sit behind a shared claim cursor, and
+// the goroutine that owns the pass claims runs and drives each one to
+// completion, as do any of the process-wide helpers (up to
+// GOMAXPROCS−1) that are idle when the pass starts. Runs share no
+// mutable state, so which goroutine drives a run is invisible to
+// results: a run inside a batch is bit-identical to the same run
+// driven alone (the identity suite in batch_test.go pins results,
+// event streams and trace bytes at every fidelity).
 
 // PairRun names one scheduler run of one pair inside a batch.
 type PairRun struct {
@@ -43,12 +49,11 @@ type PairRun struct {
 
 // BatchPairs is how many pairs one batch pass takes at the given
 // fidelity: the pairs a sweep worker claims per turn (three runs
-// each), and the server batcher's flush size. Interval runs win from
-// interleaving many pairs over shared tables and pooled systems, so
-// they batch 8 pairs (24 interleaved systems). At the other fidelities
-// a claim is one pair — its three runs still share one pass — which
-// keeps sweep progress and pair latency at pair granularity, and the
-// server batcher stays off.
+// each), and the server batcher's flush size. Interval runs are short,
+// so they batch 8 pairs (24 runs over pooled systems) to amortize the
+// per-pass set-up. At the other fidelities a claim is one pair — its
+// three runs still share one pass — which keeps sweep progress and
+// pair latency at pair granularity, and the server batcher stays off.
 func BatchPairs(fidelity string) int {
 	if fidelity == interval.FidelityInterval {
 		return 8
@@ -69,13 +74,25 @@ type runSlot struct {
 	// perRun marks a system built with per-run options (fault plan,
 	// run observer); it is dropped after the run.
 	perRun bool
+	// wall is the run's wall time, from its claim to its completion on
+	// the goroutine that drove it.
+	wall time.Duration
 }
 
 // runScratch is one worker's reusable run state, pooled on
-// Runner.pool.
+// Runner.pool. A pass hands it to the helpers that join the pass, so
+// it also holds the pass's shared state.
 type runScratch struct {
 	slots []*runSlot
-	br    interval.BatchRunner
+	// n is the number of slots the current pass drives; next is its
+	// claim cursor.
+	n    int
+	next atomic.Int64
+	// joined counts the helpers working on the current pass.
+	joined sync.WaitGroup
+	// mu guards rec, the first panic recovered from a run of the pass.
+	mu  sync.Mutex
+	rec any
 	// one, oneRes and oneErr back the single-run entry points, so a
 	// RunPair call allocates no slices.
 	one    [1]PairRun
@@ -91,9 +108,8 @@ func (sc *runScratch) grow(n int) {
 }
 
 // discard drops everything a panicked pass may have left half-run:
-// the queued steppers and every system.
+// every system.
 func (sc *runScratch) discard() {
-	sc.br = interval.BatchRunner{}
 	for _, b := range sc.slots {
 		b.sys, b.active, b.perRun = nil, false, false
 	}
@@ -129,7 +145,7 @@ func (r *Runner) runOne(ctx context.Context, pr PairRun) (amp.Result, error) {
 	return res, err
 }
 
-// RunPairsBatch executes the given pair runs in one interleaved pass
+// RunPairsBatch executes the given pair runs in one pass
 // and returns their results aligned by position (results[i] and
 // errs[i] belong to runs[i]). Each run fails independently: a wedged
 // or canceled run reports its error without disturbing the others, and
@@ -167,13 +183,11 @@ func (r *Runner) run(ctx context.Context, sc *runScratch, runs []PairRun, result
 }
 
 // runBatch is the single execution path: it arms every run on sc,
-// drives them through one interleaved pass and writes results[i] and
-// errs[i]. It reports false when a run of a multi-run batch panicked
-// (results are then partial, and run replays); a single run's panic
-// becomes its error. Each run's wall time — its share of the pass —
-// is observed here and nowhere else.
+// drives them through one pass and writes results[i] and errs[i]. It
+// reports false when a run of a multi-run batch panicked (results are
+// then partial, and run replays); a single run's panic becomes its
+// error. Each run's wall time is observed here and nowhere else.
 func (r *Runner) runBatch(ctx context.Context, sc *runScratch, runs []PairRun, results []amp.Result, errs []error) (ok bool) {
-	start := time.Now() //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
 	defer func() {
 		if rec := recover(); rec != nil {
 			sc.discard()
@@ -184,28 +198,23 @@ func (r *Runner) runBatch(ctx context.Context, sc *runScratch, runs []PairRun, r
 			results[0] = amp.Result{}
 			errs[0] = fmt.Errorf("experiments: pair %s panicked: %v", runs[0].Pair.Label(), rec)
 		}
-		// Per-run wall time cannot be attributed inside an interleaved
-		// pass; each run observes its share of the pass instead.
-		share := time.Since(start) / time.Duration(len(runs)) //ampvet:allow determinism wall-time only feeds the pair-duration histogram, never results
 		for i := range runs {
-			r.observeRun(runs[i].Pair, share, errs[i])
+			r.observeRun(runs[i].Pair, sc.slots[i].wall, errs[i])
 		}
 	}()
 	schedOpts, ampOpts, oerr := r.runOpts()
 	sc.grow(len(runs))
-	sc.br.Windows = r.batchWindows
 	for i, pr := range runs {
 		results[i], errs[i] = amp.Result{}, oerr
+		sc.slots[i].wall = 0
 		if oerr == nil {
 			errs[i] = r.arm(ctx, sc.slots[i], pr, schedOpts, ampOpts)
 		}
 		if errs[i] != nil {
 			errs[i] = fmt.Errorf("experiments: pair %s: %w", pr.Pair.Label(), errs[i])
-			continue
 		}
-		sc.br.Add(&sc.slots[i].st)
 	}
-	sc.br.Run()
+	sc.pass(len(runs))
 	for i, pr := range runs {
 		b := sc.slots[i]
 		if !b.active {
@@ -221,6 +230,111 @@ func (r *Runner) runBatch(ctx context.Context, sc *runScratch, runs []PairRun, r
 		}
 	}
 	return true
+}
+
+// helperOffer is how a pass finds the idle helpers: an idle helper
+// parks in a receive on it, so a non-blocking send reaches exactly the
+// helpers with nothing to do, and a busy pool leaves the owner to run
+// everything itself.
+var helperOffer = make(chan *runScratch)
+
+// helperCount is the number of helpers started. Helpers are started
+// on demand, up to GOMAXPROCS−1, and never exit: a pass starts no
+// goroutine, so it allocates nothing.
+var helperCount atomic.Int32
+
+// helper joins the passes it is offered, one at a time, for the life
+// of the process.
+func helper() {
+	for sc := range helperOffer {
+		sc.claim()
+		sc.joined.Done()
+	}
+}
+
+// pass drives the armed runs of sc.slots[:n] to completion. The
+// calling goroutine and every helper that takes the offer claim runs
+// off a shared cursor. pass returns only once every joined helper is
+// idle again, so no helper touches a slot after it; a run's panic is
+// then re-raised on the calling goroutine.
+func (sc *runScratch) pass(n int) {
+	sc.n, sc.rec = n, nil
+	sc.next.Store(0)
+	if want := min(runtime.GOMAXPROCS(0), n) - 1; want > 0 {
+		startHelpers(want)
+		for k := 0; k < want; k++ {
+			if !sc.offer() {
+				break
+			}
+		}
+	}
+	sc.claim()
+	sc.joined.Wait()
+	if sc.rec != nil {
+		panic(sc.rec)
+	}
+}
+
+// startHelpers makes sure at least want helpers exist.
+func startHelpers(want int) {
+	for {
+		c := helperCount.Load()
+		if int(c) >= want {
+			return
+		}
+		if helperCount.CompareAndSwap(c, c+1) {
+			go helper()
+		}
+	}
+}
+
+// offer hands the pass to one idle helper, reporting whether one took
+// it.
+func (sc *runScratch) offer() bool {
+	sc.joined.Add(1)
+	select {
+	case helperOffer <- sc:
+		return true
+	default:
+		sc.joined.Done()
+		return false
+	}
+}
+
+// claim drives runs off the pass's cursor until none is left. A run's
+// panic is recovered into sc.rec and ends every worker's claims; the
+// runs already in flight on other goroutines finish first.
+func (sc *runScratch) claim() {
+	defer func() {
+		if rec := recover(); rec != nil {
+			sc.next.Store(int64(sc.n))
+			sc.mu.Lock()
+			if sc.rec == nil {
+				sc.rec = rec
+			}
+			sc.mu.Unlock()
+		}
+	}()
+	for {
+		i := int(sc.next.Add(1)) - 1
+		if i >= sc.n {
+			return
+		}
+		if b := sc.slots[i]; b.active {
+			b.drive()
+		}
+	}
+}
+
+// drive runs the slot's armed stepper to completion and records its
+// wall time, also when the run panics.
+func (b *runSlot) drive() {
+	start := time.Now() //ampvet:allow determinism wall-time only feeds the run-duration histogram, never results
+	defer func() {
+		b.wall = time.Since(start) //ampvet:allow determinism wall-time only feeds the run-duration histogram, never results
+	}()
+	for !b.st.Step(math.MaxInt) {
+	}
 }
 
 // arm builds run pr on slot b and arms its stepper. Construction is

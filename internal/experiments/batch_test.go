@@ -3,9 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ampsched/internal/amp"
 	"ampsched/internal/cpu"
@@ -15,19 +19,89 @@ import (
 )
 
 // batchFidelities are the engine fidelities the cross-path identity
-// tests pin: the interleaved batch pass must be invisible to results
-// at every one of them.
+// tests pin: the pooled batch pass must be invisible to results at
+// every one of them.
 var batchFidelities = []string{cpu.FidelityDetailed, interval.FidelityInterval, interval.FidelitySampled}
 
+// withProcs sets GOMAXPROCS to n for the rest of the test, so passes
+// recruit pool helpers even on a one-CPU machine.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// hookSched calls tick on its run's first Tick and never moves a
+// thread.
+type hookSched struct {
+	tick   func()
+	ticked bool
+}
+
+func (h *hookSched) Name() string   { return "hook" }
+func (h *hookSched) Reset(amp.View) {}
+func (h *hookSched) Tick(amp.View) []amp.Move {
+	if !h.ticked {
+		h.ticked = true
+		h.tick()
+	}
+	return nil
+}
+
+// hook is the factory of a hookSched calling tick.
+func hook(tick func()) SchedFactory {
+	return func(...sched.Option) amp.MoveScheduler { return &hookSched{tick: tick} }
+}
+
+// twoAtOnce reports whether a two-run pass on r drove both runs at
+// the same time. The first run to tick waits, up to a second, for the
+// other to tick too, which only a second goroutine can bring about.
+func twoAtOnce(t *testing.T, r *Runner, p Pair) bool {
+	var arrived atomic.Int32
+	var together atomic.Bool
+	met := make(chan struct{})
+	meet := hook(func() {
+		if arrived.Add(1) == 2 {
+			close(met)
+			return
+		}
+		select {
+		case <-met:
+			together.Store(true)
+		case <-time.After(time.Second):
+		}
+	})
+	_, errs := r.RunPairsBatch(context.Background(), []PairRun{{Pair: p, Factory: meet}, {Pair: p, Factory: meet}})
+	for k, err := range errs {
+		if err != nil {
+			t.Fatalf("rendezvous run %d: %v", k, err)
+		}
+	}
+	return together.Load()
+}
+
+// requireHelper fails the test unless a pass on r gets a helper. A
+// helper that has just left a pass may not be parked yet when the
+// next pass offers, so a few passes are allowed.
+func requireHelper(t *testing.T, r *Runner, p Pair) {
+	t.Helper()
+	for attempt := 0; attempt < 10; attempt++ {
+		if twoAtOnce(t, r, p) {
+			return
+		}
+	}
+	t.Fatal("no helper joined any of 10 passes at GOMAXPROCS 4")
+}
+
 // TestRunPairsBatchMatchesPairAtATime is the cross-path identity
-// contract: every run of a batch — interleaved in small round-robin
-// chunks, with pooled systems reused across runs — is bit-identical
-// to the same run driven alone through RunPairContext (a batch of
-// one).
+// contract: every run of a batch — claimed by whichever of the owner
+// and the pool's helpers is free, with pooled systems reused across
+// runs — is bit-identical to the same run driven alone through
+// RunPairContext (a batch of one).
 func TestRunPairsBatchMatchesPairAtATime(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
 		t.Run(fid, func(t *testing.T) {
+			withProcs(t, 4)
 			opt := tinyOptions()
 			opt.Fidelity = fid
 			ref, err := NewRunner(opt)
@@ -38,7 +112,6 @@ func TestRunPairsBatchMatchesPairAtATime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.batchWindows = 7 // many interleave turns per run
 
 			pairs := RandomPairs(3, opt.Seed)
 			var runs []PairRun
@@ -79,6 +152,7 @@ func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
 		t.Run(fid, func(t *testing.T) {
+			withProcs(t, 4)
 			opt := tinyOptions()
 			opt.Fidelity = fid
 			ref, err := NewRunner(opt)
@@ -89,7 +163,6 @@ func TestRunPairsBatchEventAndTraceIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got.batchWindows = 7 // many interleave turns per run
 
 			record := func(into *[]*amp.EventRecorder) func(int, Pair) amp.Observer {
 				return func(int, Pair) amp.Observer {
@@ -190,13 +263,14 @@ var faultCounters = []string{
 }
 
 // TestRunPairsBatchFaultIdentity extends the identity contract to
-// fault injection: each run of an interleaved batch carries its own
+// fault injection: each run of a pooled batch carries its own
 // per-index fault plan, so a batch of N fault-injected runs equals N
 // batches of one — in results and in the fault.* counter totals.
 func TestRunPairsBatchFaultIdentity(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
 		t.Run(fid, func(t *testing.T) {
+			withProcs(t, 4)
 			opt := tinyOptions()
 			opt.Fidelity = fid
 			opt.FaultRate = 0.2
@@ -207,7 +281,6 @@ func TestRunPairsBatchFaultIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				r.Telemetry = telemetry.New()
-				r.batchWindows = 7
 				return r, r.Telemetry
 			}
 			got, gotTel := runner()
@@ -251,11 +324,14 @@ func TestRunPairsBatchFaultIdentity(t *testing.T) {
 
 // TestRunPairsBatchIsolatesPanic checks that a panicking scheduler in
 // a multi-run batch costs only its own run: the panic surfaces as that
-// run's error, and its batchmates still equal their solo runs.
+// run's error, its batchmates still equal their solo runs, and the
+// pool's helpers — one of which may have recovered the panic — still
+// join the next pass.
 func TestRunPairsBatchIsolatesPanic(t *testing.T) {
 	for _, fid := range batchFidelities {
 		fid := fid
 		t.Run(fid, func(t *testing.T) {
+			withProcs(t, 4)
 			opt := tinyOptions()
 			opt.Fidelity = fid
 			got, err := NewRunner(opt)
@@ -286,6 +362,70 @@ func TestRunPairsBatchIsolatesPanic(t *testing.T) {
 				}
 				if results[k] != want {
 					t.Fatalf("run %d: result diverges from its solo run\n got %+v\nwant %+v", k, results[k], want)
+				}
+			}
+			requireHelper(t, got, p)
+		})
+	}
+}
+
+// TestRunPairsBatchCancelMidPass cancels a pass's context while a
+// helper is inside one of its runs. The pass must not return until
+// that run has stopped, and the runs in flight report the
+// cancellation.
+func TestRunPairsBatchCancelMidPass(t *testing.T) {
+	for _, fid := range batchFidelities {
+		fid := fid
+		t.Run(fid, func(t *testing.T) {
+			withProcs(t, 4)
+			opt := tinyOptions()
+			opt.Fidelity = fid
+			r, err := NewRunner(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := RandomPairs(1, opt.Seed)[0]
+			requireHelper(t, r, p)
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			started := make(chan struct{}) // the second run is being driven
+			hold := make(chan struct{})    // keeps the second run in flight
+			runs := []PairRun{
+				// The first run waits until a second goroutine drives
+				// the second run, then cancels the pass.
+				{Pair: p, Factory: hook(func() {
+					select {
+					case <-started:
+					case <-time.After(10 * time.Second):
+						t.Error("no helper joined the pass")
+					}
+					cancel()
+				})},
+				{Pair: p, Factory: hook(func() {
+					close(started)
+					<-hold
+				})},
+				{Pair: p, Factory: r.ProposedFactory()},
+				{Pair: p, Factory: r.RRFactory(1)},
+			}
+			returned := make(chan []error, 1)
+			go func() {
+				_, errs := r.RunPairsBatch(ctx, runs)
+				returned <- errs
+			}()
+			<-ctx.Done()
+			select {
+			case <-returned:
+				t.Fatal("pass returned while a run was still in flight")
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(hold)
+			// The first two runs were in flight at the cancel; the
+			// others may have finished before it on other goroutines.
+			for k, err := range <-returned {
+				if (k < 2 || err != nil) && !errors.Is(err, context.Canceled) {
+					t.Errorf("run %d: err = %v, want context.Canceled", k, err)
 				}
 			}
 		})

@@ -233,10 +233,6 @@ type Runner struct {
 	// pool holds per-worker run state (threads, steppers and, at
 	// poolable fidelities, whole systems); see runScratch.
 	pool sync.Pool
-	// batchWindows overrides the interleaved pass's per-run chunk
-	// (0 = interval.DefaultBatchWindows); tests shrink it to force many
-	// round-robin turns.
-	batchWindows int
 	// claimPairs overrides the sweep's per-worker claim in pairs
 	// (0 = BatchPairs(Opt.Fidelity)); identity tests set 1 for their
 	// reference side.

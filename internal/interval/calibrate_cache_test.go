@@ -141,10 +141,13 @@ func TestCalibrationSingleflight(t *testing.T) {
 
 // BenchmarkCalibrate measures one uncached calibration — the detailed
 // run plus the model fit — on mcf, the memory-bound benchmark whose
-// calibration takes longest.
+// calibration takes longest. One untimed call first makes the
+// package's one-time set-up, so allocs/op reads the same at any b.N.
 func BenchmarkCalibrate(b *testing.B) {
 	cfg := cpu.IntCoreConfig()
 	bench := workload.MustByName("mcf")
+	Calibrate(cfg, cfg.Units, bench)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Calibrate(cfg, cfg.Units, bench)
 	}

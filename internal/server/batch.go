@@ -1,11 +1,10 @@
-// Pair batching: the server-side feeder of the interleaved batch
-// engine. Queue workers running jobs against the same Runner — the
+// Pair batching: the server-side feeder of the batch run path. Queue workers running jobs against the same Runner — the
 // grouping that guarantees identical core digest, options and
 // fidelity, since runners are deduplicated on exactly those — hand
 // their pair computations to a shared pairBatcher instead of running
 // them one at a time. The batcher coalesces requests across jobs (and
 // across one job's own in-flight window) and executes each group as a
-// single experiments.RunPairsBatch interleaved pass, which shares
+// single experiments.RunPairsBatch pass, which shares
 // calibration tables and pooled systems across every run in the
 // group. Results are byte-identical to an unbatched compute — the
 // batch engine's identity suite pins that — so batching is invisible
@@ -42,7 +41,7 @@ type pairReq struct {
 
 // pairBatcher coalesces pair-compute requests against one shared
 // Runner. Requests accumulate until the group reaches maxPairs or the
-// linger timer fires, then flush as one interleaved pass.
+// linger timer fires, then flush as one pass.
 type pairBatcher struct {
 	runner   *experiments.Runner
 	ctx      context.Context // server lifetime, NOT any one job's: a shared batch must not die with one requester
@@ -121,7 +120,7 @@ func (b *pairBatcher) flushLinger() {
 	b.flush(reqs)
 }
 
-// flush executes one group as a single interleaved pass and delivers
+// flush executes one group as a single pass and delivers
 // each request's outcome. Runs fail independently inside the pass, so
 // one wedged pair degrades only its own request.
 func (b *pairBatcher) flush(reqs []*pairReq) {

@@ -9,8 +9,8 @@ import (
 )
 
 // TestBatchedResultsIdenticalToSerial pins the server-level cross-path
-// contract: a job served through the pair batcher (interleaved
-// RunPairsBatch groups) returns byte-identical results to the same job
+// contract: a job served through the pair batcher (grouped
+// RunPairsBatch passes) returns byte-identical results to the same job
 // on a batching-disabled server, and the batch counters prove which
 // path ran.
 func TestBatchedResultsIdenticalToSerial(t *testing.T) {

@@ -517,7 +517,7 @@ func (s *Server) ackJob(j *jobEntry, qjob *jobqueue.Job, sp JobSpec) error {
 // lands adjacently and either fits whole or bounces whole — or none
 // is. Group members typically share fidelity and options; their pair
 // computations then run against one shared Runner, where the pair
-// batcher coalesces them into interleaved batch passes. Maps to
+// batcher coalesces them into batch passes. Maps to
 // POST /v1/jobs with a JSON array body.
 func (s *Server) SubmitMany(specs []JobSpec) ([]*jobEntry, error) {
 	if len(specs) == 0 {
